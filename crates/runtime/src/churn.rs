@@ -8,16 +8,16 @@
 //!
 //! * every churn time is **snapped up to a lookahead-window boundary**
 //!   (`ceil(t / L) · L` where `L` is the fault model's minimum link
-//!   delay), so a perturbation never lands inside a sharded-execution
-//!   epoch — both executors apply it at the exact same cut between
-//!   windows;
+//!   delay), so a perturbation never lands inside an epoch — every
+//!   executor core applies it at the same cut between windows, however
+//!   many cores there are;
 //! * the plan is validated up front by a per-node state machine
 //!   (join-before-anything-else, no rejoin, no events after departure),
 //!   so mid-run surprises are impossible;
 //! * the batch of entries applied at one boundary, the recomputed
-//!   neighbor rows, and the affected-node set are computed once by the
-//!   coordinating runtime and applied identically everywhere
-//!   ([`ChurnDelta`]).
+//!   topology snapshot, and the affected-node set are computed once by
+//!   the coordinating runtime and applied identically by every executor
+//!   core (`ChurnDelta`).
 //!
 //! Membership is tracked per node ([`MemberState`]): `Pending` nodes have
 //! not joined yet (no `on_start`, excluded from every neighbor row),
@@ -29,6 +29,7 @@
 use adhoc_geom::{GridIndex, Point};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// One kind of perturbation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -374,49 +375,58 @@ impl ChurnSchedule {
     }
 }
 
-/// Everything one churn batch changes, computed once by the coordinating
-/// runtime and applied identically by every executor: the entries, the
-/// neighbor rows that changed, and the `(node, new position)` pairs that
-/// must re-converge (`on_neighborhood_change`).
+/// An immutable radio-topology snapshot: every node's neighbor row and
+/// membership state. All executor cores share one through an `Arc`; the
+/// coordinator replaces it at churn barriers.
+#[derive(Debug)]
+pub(crate) struct Topology {
+    /// Radio neighbors per node (sorted). Only [`MemberState::Alive`]
+    /// nodes appear in rows, and only they get a non-empty row.
+    pub(crate) rows: Vec<Vec<u32>>,
+    /// Membership state per node.
+    pub(crate) membership: Vec<MemberState>,
+}
+
+impl Topology {
+    /// Compute every node's row from current positions and membership.
+    pub(crate) fn build(positions: &[Point], membership: Vec<MemberState>, range: f64) -> Self {
+        let n = positions.len();
+        let mut rows = vec![Vec::new(); n];
+        if n > 0 {
+            let grid = GridIndex::build(positions, range);
+            for u in 0..n as u32 {
+                if membership[u as usize] != MemberState::Alive {
+                    continue;
+                }
+                grid.for_each_within(positions[u as usize], range, |v| {
+                    if v != u && membership[v as usize] == MemberState::Alive {
+                        rows[u as usize].push(v);
+                    }
+                });
+                // for_each_within order is grid-cell dependent; sort for
+                // a stable broadcast fan-out order.
+                rows[u as usize].sort_unstable();
+            }
+        }
+        Topology { rows, membership }
+    }
+}
+
+/// Everything one churn batch changes, computed once by the coordinator
+/// and applied identically by every executor core: the entries, the new
+/// topology snapshot, and the `(node, new position)` pairs that must
+/// re-converge (`on_neighborhood_change`).
 #[derive(Debug, Clone)]
 pub(crate) struct ChurnDelta {
     /// The (snapped) time the batch applies at.
     pub(crate) time: u64,
     /// The entries of the batch, in plan order.
     pub(crate) entries: Vec<ChurnEntry>,
-    /// Neighbor rows that changed, `(node, new row)`, sorted by node.
-    pub(crate) rows: Vec<(u32, Vec<u32>)>,
+    /// The topology after the batch.
+    pub(crate) topo: Arc<Topology>,
     /// Live nodes whose one-hop world changed (row membership or a
     /// neighbor's position), with their current position; sorted by node.
     pub(crate) affected: Vec<(u32, Point)>,
-}
-
-/// Recompute every node's radio-neighbor row from current positions and
-/// membership: only [`MemberState::Alive`] nodes appear in rows, and only
-/// they get a non-empty row.
-pub(crate) fn rebuild_neighbors(
-    positions: &[Point],
-    membership: &[MemberState],
-    range: f64,
-) -> Vec<Vec<u32>> {
-    let n = positions.len();
-    let mut rows = vec![Vec::new(); n];
-    if n == 0 {
-        return rows;
-    }
-    let grid = GridIndex::build(positions, range);
-    for u in 0..n as u32 {
-        if membership[u as usize] != MemberState::Alive {
-            continue;
-        }
-        grid.for_each_within(positions[u as usize], range, |v| {
-            if v != u && membership[v as usize] == MemberState::Alive {
-                rows[u as usize].push(v);
-            }
-        });
-        rows[u as usize].sort_unstable();
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -566,10 +576,10 @@ mod tests {
             Point::new(2.0, 0.0),
         ];
         let mut membership = vec![MemberState::Alive; 3];
-        let rows = rebuild_neighbors(&positions, &membership, 1.5);
-        assert_eq!(rows, vec![vec![1], vec![0, 2], vec![1]]);
+        let topo = Topology::build(&positions, membership.clone(), 1.5);
+        assert_eq!(topo.rows, vec![vec![1], vec![0, 2], vec![1]]);
         membership[1] = MemberState::Draining;
-        let rows = rebuild_neighbors(&positions, &membership, 1.5);
-        assert_eq!(rows, vec![Vec::<u32>::new(), vec![], vec![]]);
+        let topo = Topology::build(&positions, membership, 1.5);
+        assert_eq!(topo.rows, vec![Vec::<u32>::new(), vec![], vec![]]);
     }
 }

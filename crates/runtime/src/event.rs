@@ -5,10 +5,10 @@
 //! entirely from *who* the event belongs to and per-link / per-node
 //! counters — never from global insertion order. Two runs that schedule
 //! the same events therefore pop them in the same order **regardless of
-//! how the queue is physically laid out**: one global queue, or one queue
-//! per spatial shard with cross-shard events merged at epoch barriers.
-//! That invariance is what lets the sharded executor reproduce the
-//! sequential replay digest bit for bit.
+//! how the queue is physically laid out**: one queue in a single inline
+//! executor core, or one queue per worker core with cross-core events
+//! merged at epoch barriers. That invariance is what lets any number of
+//! cores reproduce the one-core replay digest bit for bit.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -184,7 +184,7 @@ impl<M> EventQueue<M> {
         self.heap.push(Reverse(Event { time, key, kind }));
     }
 
-    /// Insert an already-built event (cross-shard routing).
+    /// Insert an already-built event.
     pub fn insert(&mut self, ev: Event<M>) {
         self.heap.push(Reverse(ev));
     }

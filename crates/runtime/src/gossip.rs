@@ -887,19 +887,99 @@ fn build_nodes(
         .collect()
 }
 
-/// Tally node ledgers into a [`GossipRun`]. `custody` is the number of
-/// packets still held by reliable transports at quiescence, `gave_up`
-/// their give-up count, `stolen`/`blackholed` the adversary-eaten packet
-/// counts (all 0 for honest fire-and-forget runs).
-fn finalize<'a>(
-    nodes: impl Iterator<Item = &'a GossipNode>,
-    stats: NetStats,
-    digest: u64,
-    custody: u64,
-    gave_up: u64,
-    stolen: u64,
-    blackholed: u64,
-) -> GossipRun {
+/// A gossip node under the wrapper layers a harness stacks on it
+/// (adversarial radio, reliable transport), as the ledger sees it.
+trait Stacked: Actor {
+    /// The honest gossip node at the bottom of the stack.
+    fn gossip(&self) -> &GossipNode;
+
+    /// Book the wrapper layers' transport counters, give-ups and eaten
+    /// packets into `run`, and their custody into `run.in_flight` (which
+    /// [`execute`] clamps afterwards).
+    fn tally(&self, _run: &mut GossipRun) {}
+}
+
+impl Stacked for GossipNode {
+    fn gossip(&self) -> &GossipNode {
+        self
+    }
+}
+
+impl Stacked for AdversarialActor<GossipNode> {
+    fn gossip(&self) -> &GossipNode {
+        self.inner()
+    }
+
+    fn tally(&self, run: &mut GossipRun) {
+        run.stolen += self.stolen();
+        run.blackholed += self.blackholed();
+    }
+}
+
+impl<A: Stacked<Msg = GossipMsg>> Stacked for ReliableActor<A, fn(&GossipMsg) -> bool> {
+    fn gossip(&self) -> &GossipNode {
+        self.inner().gossip()
+    }
+
+    fn tally(&self, run: &mut GossipRun) {
+        let c = self.counters();
+        run.stats.retransmits += c.retransmits;
+        run.stats.acks += c.acks_sent;
+        run.stats.rto_fired += c.rto_fired;
+        run.gave_up += c.gave_up;
+        run.in_flight += self.pending_count();
+        self.inner().tally(run);
+    }
+}
+
+/// Run `actors` — under the reliable sublayer when `cfg` asks for it —
+/// to quiescence on `threads` workers under `plan`, and tally the ledger.
+fn run_stack<A>(
+    actors: Vec<A>,
+    topology: &SpatialGraph,
+    cfg: GossipConfig,
+    faults: FaultConfig,
+    seed: u64,
+    plan: &ChurnPlan,
+    threads: usize,
+) -> GossipRun
+where
+    A: Stacked<Msg = GossipMsg> + Send,
+{
+    let Some(rc) = cfg.reliability else {
+        return execute(actors, topology, faults, seed, plan, threads);
+    };
+    let select = needs_reliability as fn(&GossipMsg) -> bool;
+    let reliable = actors
+        .into_iter()
+        .map(|a| ReliableActor::new(a, rc, select))
+        .collect();
+    execute(reliable, topology, faults, seed, plan, threads)
+}
+
+/// [`run_stack`] once the layers are fixed.
+fn execute<A>(
+    actors: Vec<A>,
+    topology: &SpatialGraph,
+    faults: FaultConfig,
+    seed: u64,
+    plan: &ChurnPlan,
+    threads: usize,
+) -> GossipRun
+where
+    A: Stacked + Send,
+    A::Msg: Send + Sync,
+{
+    // The runtime's radio range only matters for broadcasts; this
+    // protocol is purely unicast over topology edges, so any positive
+    // range works.
+    let range = topology.max_range.max(1e-9);
+    let mut rt = Runtime::new(actors, &topology.points, range, faults, seed);
+    if !plan.is_empty() {
+        rt.set_churn_plan(plan);
+    }
+    rt.start();
+    rt.run_sharded(threads);
     let mut run = GossipRun {
         injected: 0,
         admission_dropped: 0,
@@ -907,23 +987,25 @@ fn finalize<'a>(
         overflow_dropped: 0,
         link_lost: 0,
         in_flight: 0,
-        gave_up,
+        gave_up: 0,
         buffered: 0,
         packets_sent: 0,
         gossips_sent: 0,
         stale_gossip_dropped: 0,
-        stolen,
-        blackholed,
+        stolen: 0,
+        blackholed: 0,
         implausible_gossip: 0,
         equivocations: 0,
         attests_sent: 0,
         quarantines: 0,
         quarantined_nodes: Vec::new(),
-        stats,
-        digest,
+        stats: rt.stats().clone(),
+        digest: rt.transcript().digest(),
     };
     let mut received = 0u64;
-    for node in nodes {
+    for actor in rt.nodes() {
+        actor.tally(&mut run);
+        let node = actor.gossip();
         let c = node.counts;
         run.injected += c.injected;
         run.admission_dropped += c.admission_dropped;
@@ -947,8 +1029,8 @@ fn finalize<'a>(
     // gone for good. Custody is clamped to the honest outstanding count
     // because a delivered packet whose acks all died can be both
     // received and (briefly) in custody.
-    let outstanding = run.packets_sent - received - stolen - blackholed;
-    run.in_flight = custody.min(outstanding);
+    let outstanding = run.packets_sent - received - run.stolen - run.blackholed;
+    run.in_flight = run.in_flight.min(outstanding);
     run.link_lost = outstanding - run.in_flight;
     run
 }
@@ -1026,73 +1108,7 @@ pub fn run_gossip_balancing_churn(
     faults.validate();
     assert!(!dests.is_empty(), "need at least one destination");
     let nodes = build_nodes(topology, dests, cfg, workload);
-    // The runtime's radio range only matters for broadcasts; this
-    // protocol is purely unicast over topology edges, so any positive
-    // range works.
-    let range = topology.max_range.max(1e-9);
-
-    match cfg.reliability {
-        None => {
-            let mut rt = Runtime::new(nodes, &topology.points, range, faults, seed);
-            if !plan.is_empty() {
-                rt.set_churn_plan(plan);
-            }
-            rt.start();
-            if threads > 1 {
-                rt.run_sharded(threads);
-            } else {
-                rt.run();
-            }
-            finalize(
-                rt.nodes().iter(),
-                rt.stats().clone(),
-                rt.transcript().digest(),
-                0,
-                0,
-                0,
-                0,
-            )
-        }
-        Some(rc) => {
-            type Wrapped = ReliableActor<GossipNode, fn(&GossipMsg) -> bool>;
-            let wrapped: Vec<Wrapped> = nodes
-                .into_iter()
-                .map(|node| {
-                    ReliableActor::new(node, rc, needs_reliability as fn(&GossipMsg) -> bool)
-                })
-                .collect();
-            let mut rt = Runtime::new(wrapped, &topology.points, range, faults, seed);
-            if !plan.is_empty() {
-                rt.set_churn_plan(plan);
-            }
-            rt.start();
-            if threads > 1 {
-                rt.run_sharded(threads);
-            } else {
-                rt.run();
-            }
-            let mut stats = rt.stats().clone();
-            let mut custody = 0u64;
-            let mut gave_up = 0u64;
-            for actor in rt.nodes() {
-                let c = actor.counters();
-                stats.retransmits += c.retransmits;
-                stats.acks += c.acks_sent;
-                stats.rto_fired += c.rto_fired;
-                gave_up += c.gave_up;
-                custody += actor.pending_count();
-            }
-            finalize(
-                rt.nodes().iter().map(|a| a.inner()),
-                stats,
-                rt.transcript().digest(),
-                custody,
-                gave_up,
-                0,
-                0,
-            )
-        }
-    }
+    run_stack(nodes, topology, cfg, faults, seed, plan, threads)
 }
 
 /// [`run_gossip_balancing_churn`] under an [`AdversaryPlan`]: the chosen
@@ -1132,76 +1148,7 @@ pub fn run_gossip_balancing_adversarial(
             AdversarialActor::new(node, attacks, dedup)
         })
         .collect();
-    let range = topology.max_range.max(1e-9);
-
-    match cfg.reliability {
-        None => {
-            let mut rt = Runtime::new(wrapped, &topology.points, range, faults, seed);
-            if !plan.is_empty() {
-                rt.set_churn_plan(plan);
-            }
-            rt.start();
-            if threads > 1 {
-                rt.run_sharded(threads);
-            } else {
-                rt.run();
-            }
-            let (stolen, blackholed) = rt
-                .nodes()
-                .iter()
-                .fold((0, 0), |(s, b), a| (s + a.stolen(), b + a.blackholed()));
-            finalize(
-                rt.nodes().iter().map(|a| a.inner()),
-                rt.stats().clone(),
-                rt.transcript().digest(),
-                0,
-                0,
-                stolen,
-                blackholed,
-            )
-        }
-        Some(rc) => {
-            type Wrapped = ReliableActor<AdversarialActor<GossipNode>, fn(&GossipMsg) -> bool>;
-            let reliable: Vec<Wrapped> = wrapped
-                .into_iter()
-                .map(|actor| {
-                    ReliableActor::new(actor, rc, needs_reliability as fn(&GossipMsg) -> bool)
-                })
-                .collect();
-            let mut rt = Runtime::new(reliable, &topology.points, range, faults, seed);
-            if !plan.is_empty() {
-                rt.set_churn_plan(plan);
-            }
-            rt.start();
-            if threads > 1 {
-                rt.run_sharded(threads);
-            } else {
-                rt.run();
-            }
-            let mut stats = rt.stats().clone();
-            let (mut custody, mut gave_up) = (0u64, 0u64);
-            let (mut stolen, mut blackholed) = (0u64, 0u64);
-            for actor in rt.nodes() {
-                let c = actor.counters();
-                stats.retransmits += c.retransmits;
-                stats.acks += c.acks_sent;
-                stats.rto_fired += c.rto_fired;
-                gave_up += c.gave_up;
-                custody += actor.pending_count();
-                stolen += actor.inner().stolen();
-                blackholed += actor.inner().blackholed();
-            }
-            finalize(
-                rt.nodes().iter().map(|a| a.inner().inner()),
-                stats,
-                rt.transcript().digest(),
-                custody,
-                gave_up,
-                stolen,
-                blackholed,
-            )
-        }
-    }
+    run_stack(wrapped, topology, cfg, faults, seed, plan, threads)
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
-//! The runtime driver: owns the nodes, the event queue, the fault model,
-//! and per-link RNG streams — so every run is bit-for-bit replayable from
-//! `(nodes, positions, faults, seed)` on any execution layout.
+//! The runtime coordinator: the public [`Runtime`] API over one executor.
 //!
-//! # Determinism under sharding
-//!
-//! Three mechanisms make the sequential executor and the sharded executor
-//! ([`Runtime::run_sharded`]) produce identical replay digests:
+//! A [`Runtime`] owns the nodes' positions, the churn schedule, the
+//! replay transcript and one executor core ([`crate::shard`]) holding
+//! every node. Every entry point drives the same epoch loop
+//! (`Runtime::drive`): pick the next lookahead window (or churn
+//! barrier), have the core(s) process it, and fold the window's records
+//! into the transcript. [`Runtime::run`] and [`Runtime::run_with_limit`]
+//! advance the core inline on the calling thread; [`Runtime::run_sharded`]
+//! splits it into up to `k` cores on worker threads for the run and
+//! merges them back. Every run is bit-for-bit replayable from
+//! `(nodes, positions, faults, seed)` on any layout, because:
 //!
 //! 1. **Per-directed-link RNG streams.** Every link `u → v` owns a
 //!    `ChaCha8Rng` seeded from `splitmix64(seed, u, v)`; a transmission's
@@ -18,18 +22,21 @@
 //!    [`crate::event`]).
 //! 3. **Windowed digest folds.** Event records accumulate in per-node
 //!    sub-digests and fold into the global digest in node-id order at
-//!    each lookahead-window boundary ([`crate::stats::WindowNotes`]).
+//!    each lookahead-window boundary (`crate::stats::Folds`).
+//!
+//! [`EventKey`]: crate::EventKey
 
-use crate::churn::{plan_churn, rebuild_neighbors, ChurnDelta, ChurnKind, ChurnSchedule};
-use crate::event::{EventKey, EventKind, EventQueue, Payload};
-use crate::fault::{FaultConfig, TransmitOutcome};
-use crate::node::{Actor, Ctx, Message};
-use crate::stats::{NetStats, Transcript, WindowNotes};
+use crate::churn::{plan_churn, ChurnDelta, ChurnKind, ChurnSchedule, Topology};
+use crate::fault::FaultConfig;
+use crate::node::Actor;
+use crate::shard::{Partition, Pool, Shard};
+use crate::stats::{Folds, NetStats, Transcript, WindowNotes};
 use crate::{ChurnPlan, MemberState};
-use adhoc_geom::{GridIndex, Point};
+use adhoc_geom::Point;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation used to
 /// derive independent per-link seeds from `(run seed, from, to)`.
@@ -48,6 +55,8 @@ pub(crate) fn link_key(from: u32, to: u32) -> u64 {
 /// Per-directed-link transmission state: the link's private RNG stream
 /// and its copy counter (feeds [`EventKey::deliver`] sequence numbers;
 /// fault-layer duplicates take consecutive values).
+///
+/// [`EventKey::deliver`]: crate::EventKey::deliver
 #[derive(Debug, Clone)]
 pub(crate) struct LinkState {
     pub(crate) rng: ChaCha8Rng,
@@ -64,7 +73,7 @@ impl LinkState {
 }
 
 /// Thread count requested via the `ADHOC_SHARD_THREADS` environment
-/// variable (default 1 = sequential).
+/// variable (default 1 = the inline core).
 pub fn shard_threads_from_env() -> usize {
     std::env::var("ADHOC_SHARD_THREADS")
         .ok()
@@ -79,39 +88,23 @@ pub fn shard_threads_from_env() -> usize {
 /// passes through the [`FaultConfig`] on its own RNG stream.
 #[derive(Debug)]
 pub struct Runtime<A: Actor> {
-    pub(crate) nodes: Vec<A>,
-    /// Radio neighbors (indices within `range`), per node.
-    pub(crate) neighbors: Vec<Vec<u32>>,
-    /// Node positions (kept for spatial shard partitioning).
-    pub(crate) positions: Vec<Point>,
+    /// The executor core. It owns every node, except while
+    /// [`Self::run_sharded`] has split it across worker threads; it also
+    /// holds the topology snapshot and the run's counters.
+    core: Shard<A>,
+    /// Node positions (reflecting any drifts applied so far).
+    positions: Vec<Point>,
     /// Radio range (spatial shard cell side).
-    pub(crate) range: f64,
-    pub(crate) queue: EventQueue<A::Msg>,
-    pub(crate) faults: FaultConfig,
-    pub(crate) seed: u64,
-    /// Per-directed-link RNG streams and copy counters, created lazily.
-    pub(crate) links: HashMap<u64, LinkState>,
-    /// Per-node timer arm counters (feed [`EventKey::timer`] seqs).
-    pub(crate) arm_seq: Vec<u64>,
-    pub(crate) now: u64,
-    /// Index of the lookahead window currently being processed.
-    cur_window: u64,
-    /// Membership state per node (all `Alive` without a churn plan).
-    pub(crate) membership: Vec<MemberState>,
+    range: f64,
     /// Pending churn batches, sorted by (lookahead-aligned) time.
-    pub(crate) churn: ChurnSchedule,
+    churn: ChurnSchedule,
     /// Time of the last scheduled perturbation (0 without churn).
     last_churn: u64,
     /// Set by [`Self::start`]; churn plans must be installed before it.
     started: bool,
-    pub(crate) stats: NetStats,
-    pub(crate) trace: Transcript,
-    /// Per-node sub-digests for the current window.
-    pub(crate) notes: WindowNotes,
-    /// Reused effect buffer: one `Ctx` serves every callback so the
-    /// per-event hot path performs no allocations (the vectors keep their
-    /// capacity across events).
-    scratch: Ctx<A::Msg>,
+    trace: Transcript,
+    /// Reused buffer for the window being folded.
+    folds: Folds,
 }
 
 impl<A: Actor> Runtime<A> {
@@ -128,41 +121,17 @@ impl<A: Actor> Runtime<A> {
         assert_eq!(nodes.len(), positions.len(), "one position per node");
         assert!(range.is_finite() && range > 0.0, "range must be positive");
         faults.validate();
-        let n = positions.len();
-        let mut neighbors = vec![Vec::new(); n];
-        if n > 0 {
-            let grid = GridIndex::build(positions, range);
-            for u in 0..n as u32 {
-                grid.for_each_within(positions[u as usize], range, |v| {
-                    if v != u {
-                        neighbors[u as usize].push(v);
-                    }
-                });
-                // for_each_within order is grid-cell dependent; sort for a
-                // stable broadcast fan-out order.
-                neighbors[u as usize].sort_unstable();
-            }
-        }
+        let alive = vec![MemberState::Alive; positions.len()];
+        let topo = Arc::new(Topology::build(positions, alive, range));
         Runtime {
-            nodes,
-            neighbors,
+            core: Shard::new(nodes, topo, faults, seed),
             positions: positions.to_vec(),
             range,
-            queue: EventQueue::new(),
-            faults,
-            seed,
-            links: HashMap::new(),
-            arm_seq: vec![0; n],
-            now: 0,
-            cur_window: 0,
-            membership: vec![MemberState::Alive; n],
             churn: ChurnSchedule::default(),
             last_churn: 0,
             started: false,
-            stats: NetStats::default(),
             trace: Transcript::new(false),
-            notes: WindowNotes::new(n, false),
-            scratch: Ctx::default(),
+            folds: Folds::default(),
         }
     }
 
@@ -171,17 +140,17 @@ impl<A: Actor> Runtime<A> {
     /// lookahead window — the canonical fold order.
     pub fn record_trace(&mut self, record: bool) {
         self.trace = Transcript::new(record);
-        self.notes = WindowNotes::new(self.nodes.len(), record);
+        self.core.notes = WindowNotes::new(self.core.ids.len(), record);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> u64 {
-        self.now
+        self.core.now
     }
 
     /// Counters so far.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// The replay transcript.
@@ -191,22 +160,22 @@ impl<A: Actor> Runtime<A> {
 
     /// Immutable view of a node's actor state.
     pub fn node(&self, id: u32) -> &A {
-        &self.nodes[id as usize]
+        &self.core.nodes[id as usize]
     }
 
     /// All node actors, in id order.
     pub fn nodes(&self) -> &[A] {
-        &self.nodes
+        &self.core.nodes
     }
 
     /// The radio neighbors of `id` (sorted).
     pub fn radio_neighbors(&self, id: u32) -> &[u32] {
-        &self.neighbors[id as usize]
+        &self.core.topo.rows[id as usize]
     }
 
     /// Current membership state of `id`.
     pub fn member_state(&self, id: u32) -> MemberState {
-        self.membership[id as usize]
+        self.core.topo.membership[id as usize]
     }
 
     /// Current node positions (reflecting any drifts applied so far).
@@ -221,58 +190,40 @@ impl<A: Actor> Runtime<A> {
 
     /// Install a churn/mobility plan. Must be called before
     /// [`Self::start`]; entry times snap up to lookahead-window
-    /// boundaries so perturbations land exactly at sharded epoch barriers
-    /// (digest stability across executors). Panics on an inconsistent
+    /// boundaries so perturbations land exactly at epoch barriers
+    /// (digest stability across layouts). Panics on an inconsistent
     /// plan — see [`ChurnPlan`].
     pub fn set_churn_plan(&mut self, plan: &ChurnPlan) {
         assert!(
             !self.started,
             "set_churn_plan must be called before start()"
         );
-        let planned = plan_churn(plan, self.nodes.len(), self.lookahead());
+        let planned = plan_churn(plan, self.positions.len(), self.lookahead());
         // Joiners sit at their spawn position from t = 0: the spatial
         // shard partition (and hence worker assignment) is fixed up front.
         for &(node, pos) in &planned.spawn_positions {
             self.positions[node as usize] = pos;
         }
-        self.membership = planned.membership;
         self.last_churn = planned.schedule.last_time();
         self.churn = planned.schedule;
-        self.neighbors = rebuild_neighbors(&self.positions, &self.membership, self.range);
+        let topo = Topology::build(&self.positions, planned.membership, self.range);
+        self.core.topo = Arc::new(topo);
     }
 
     /// The conservative lookahead: no transmission can arrive sooner than
-    /// this many ticks after it was sent, so shards advanced in windows
-    /// of this width only exchange messages at window boundaries.
-    pub(crate) fn lookahead(&self) -> u64 {
-        self.faults.min_delay()
+    /// this many ticks after it was sent, so cores advanced in windows of
+    /// this width only exchange messages at window boundaries.
+    fn lookahead(&self) -> u64 {
+        self.core.faults.min_delay()
     }
 
-    /// End the current digest window: sample the pending-event count and
-    /// fold per-node sub-digests into the transcript in node-id order.
-    fn fold_window(&mut self) {
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
-        self.notes.fold_into(&mut self.trace);
-    }
-
-    /// Deliver `on_start` to every node (in id order) at time 0, then
-    /// fold any records it produced (drops of time-0 sends) as a
-    /// pseudo-window of their own.
+    /// Deliver `on_start` to every node (in id order) at the current
+    /// time, then fold any records it produced (drops of time-0 sends)
+    /// as a pseudo-window of their own.
     pub fn start(&mut self) {
         self.started = true;
-        for id in 0..self.nodes.len() as u32 {
-            // Pending joiners get no `on_start`; their bootstrap is the
-            // `on_neighborhood_change` at their join boundary.
-            if self.membership[id as usize] != MemberState::Alive {
-                continue;
-            }
-            let mut ctx = std::mem::take(&mut self.scratch);
-            ctx.reset(id, self.now);
-            self.nodes[id as usize].on_start(&mut ctx);
-            self.flush(&mut ctx);
-            self.scratch = ctx;
-        }
-        self.fold_window();
+        self.core.start(&mut self.folds);
+        self.close_window(self.core.queue.len());
     }
 
     /// Process events until the queue is empty or `max_events` have been
@@ -280,309 +231,151 @@ impl<A: Actor> Runtime<A> {
     /// responsible for termination (bounded timer schedules); the cap is a
     /// backstop against runaway retransmit loops.
     ///
-    /// Capped runs stay on the sequential executor and fold whatever
-    /// partial window is open when the cap strikes, so a capped digest
-    /// only matches another identically-capped run.
+    /// Capped runs use the inline core and fold whatever partial window
+    /// is open when the cap strikes, so a capped digest only matches
+    /// another identically-capped run.
     pub fn run_with_limit(&mut self, max_events: u64) -> bool {
-        let lookahead = self.lookahead();
-        let mut remaining = max_events;
-        loop {
-            let next_event = self.queue.peek_time();
-            // A churn batch due at `tc` applies before any event at `tc`:
-            // perturbation times are lookahead-aligned, so this is
-            // exactly the sharded executor's epoch-barrier cut.
-            if let Some(tc) = self.churn.peek_time() {
-                if next_event.is_none_or(|t| tc <= t) {
-                    // Every earlier event is processed; close its window.
-                    self.fold_window();
-                    self.cur_window = tc / lookahead;
-                    debug_assert!(tc >= self.now, "churn time must be monotone");
-                    // `flush` in the re-convergence callbacks stamps
-                    // records with `self.now`.
-                    self.now = tc;
-                    let delta = self.apply_churn_batch();
-                    self.apply_churn_local(&delta);
-                    continue;
-                }
-            }
-            let Some(t) = next_event else {
-                self.fold_window();
-                return true;
-            };
-            if remaining == 0 {
-                break;
-            }
-            remaining -= 1;
-            let window = t / lookahead;
-            if window > self.cur_window {
-                self.fold_window();
-                self.cur_window = window;
-            }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            debug_assert!(ev.time >= self.now, "time must be monotone");
-            self.now = ev.time;
-            let node = ev.key.node;
-            // Events addressed to a crashed node are accounted, not run.
-            if self.membership[node as usize] == MemberState::Dead {
-                match ev.kind {
-                    EventKind::Deliver { msg } => {
-                        self.stats.link_lost += 1;
-                        self.notes.note(
-                            node,
-                            format_args!("K t={} {}->{} {:?}", self.now, ev.key.src, node, msg),
-                        );
-                    }
-                    EventKind::Timer { timer } => {
-                        self.stats.timers_abandoned += 1;
-                        self.notes.note(
-                            node,
-                            format_args!("A t={} n={} id={}", self.now, node, timer),
-                        );
-                    }
-                }
-                continue;
-            }
-            match ev.kind {
-                EventKind::Deliver { msg } => {
-                    let from = ev.key.src;
-                    self.stats.delivered += 1;
-                    self.stats.kind(msg.get().kind()).delivered += 1;
-                    self.notes.note(
-                        node,
-                        format_args!("D t={} {}->{} {:?}", self.now, from, node, msg),
-                    );
-                    let mut ctx = std::mem::take(&mut self.scratch);
-                    ctx.reset(node, self.now);
-                    self.nodes[node as usize].on_message(&mut ctx, from, msg.into_msg());
-                    self.flush(&mut ctx);
-                    self.scratch = ctx;
-                }
-                EventKind::Timer { timer } => {
-                    self.stats.timers_fired += 1;
-                    self.notes.note(
-                        node,
-                        format_args!("T t={} n={} id={}", self.now, node, timer),
-                    );
-                    let mut ctx = std::mem::take(&mut self.scratch);
-                    ctx.reset(node, self.now);
-                    self.nodes[node as usize].on_timer(&mut ctx, timer);
-                    self.flush(&mut ctx);
-                    self.scratch = ctx;
-                }
-            }
-        }
-        self.fold_window();
-        self.queue.is_empty() && self.churn.peek_time().is_none()
+        self.drive(None, max_events)
     }
 
-    /// Apply the next due churn batch to the coordinating runtime's
-    /// membership, positions, and neighbor rows, and compute the
-    /// [`ChurnDelta`] every executor must apply: changed rows plus the
-    /// live nodes whose one-hop world changed (new/lost neighbor rows,
-    /// neighbors that drifted, or being a perturbation subject).
-    pub(crate) fn apply_churn_batch(&mut self) -> ChurnDelta {
+    /// Run to quiescence on the inline core (see
+    /// [`Self::run_with_limit`]); returns the final virtual time.
+    pub fn run(&mut self) -> u64 {
+        self.drive(None, u64::MAX);
+        self.now()
+    }
+
+    /// The epoch loop behind every run: repeatedly open the next epoch —
+    /// a due churn batch opens `[tc, tc + L)`, otherwise the lookahead
+    /// window holding the earliest pending event — let the inline core
+    /// (`pool == None`) or the worker cores process it, and fold it.
+    /// Only the inline core honours `budget`. Returns true iff quiescent.
+    fn drive(&mut self, mut pool: Option<&mut Pool<A>>, mut budget: u64) -> bool {
+        let lookahead = self.lookahead();
+        loop {
+            let next = match &pool {
+                Some(pool) => pool.next_time(),
+                None => self.core.queue.peek_time(),
+            };
+            // A churn batch due at `tc` applies before any event at `tc`;
+            // perturbation times are lookahead-aligned, so it always
+            // opens an epoch.
+            let (until, churn) = match self.churn.peek_time() {
+                Some(tc) if next.is_none_or(|t| tc <= t) => {
+                    (tc + lookahead, Some(self.take_churn_batch()))
+                }
+                _ => match next {
+                    None => return true,
+                    Some(_) if budget == 0 => return false,
+                    Some(t) => ((t / lookahead + 1) * lookahead, None),
+                },
+            };
+            let pending = match pool.as_deref_mut() {
+                Some(pool) => pool.epoch(until, churn, &mut self.folds),
+                None => {
+                    let churn = churn.as_ref();
+                    self.core.epoch(until, churn, &mut budget, &mut self.folds);
+                    self.core.queue.len()
+                }
+            };
+            self.close_window(pending);
+        }
+    }
+
+    /// End a window: sample the pending-event count and fold the
+    /// window's per-node sub-digests into the transcript.
+    fn close_window(&mut self, pending: usize) {
+        let depth = &mut self.core.stats.max_queue_depth;
+        *depth = (*depth).max(pending);
+        self.folds.fold_into(&mut self.trace);
+    }
+
+    /// Take the next due churn batch: update positions and the topology
+    /// snapshot, and compute the [`ChurnDelta`] every core applies — the
+    /// new snapshot plus the live nodes whose one-hop world changed (new
+    /// or lost neighbor rows, neighbors that drifted, or being a
+    /// perturbation subject).
+    fn take_churn_batch(&mut self) -> ChurnDelta {
         let (time, entries) = self.churn.take_batch();
+        let old = Arc::clone(&self.core.topo);
+        let mut membership = old.membership.clone();
         let mut drifted: Vec<u32> = Vec::new();
         for e in &entries {
+            let u = e.node as usize;
             match e.kind {
                 ChurnKind::Join(pos) => {
-                    self.positions[e.node as usize] = pos;
-                    self.membership[e.node as usize] = MemberState::Alive;
-                    self.stats.joins += 1;
+                    self.positions[u] = pos;
+                    membership[u] = MemberState::Alive;
                 }
-                ChurnKind::Leave => {
-                    self.membership[e.node as usize] = MemberState::Draining;
-                    self.stats.leaves += 1;
-                }
-                ChurnKind::Crash => {
-                    self.membership[e.node as usize] = MemberState::Dead;
-                    self.stats.crashes += 1;
-                }
+                ChurnKind::Leave => membership[u] = MemberState::Draining,
+                ChurnKind::Crash => membership[u] = MemberState::Dead,
                 ChurnKind::Drift(pos) => {
-                    self.positions[e.node as usize] = pos;
-                    self.stats.drifts += 1;
+                    self.positions[u] = pos;
                     drifted.push(e.node);
                 }
             }
         }
         drifted.sort_unstable();
-        let new_rows = rebuild_neighbors(&self.positions, &self.membership, self.range);
-        let mut rows = Vec::new();
-        let mut affected = BTreeSet::new();
-        for (u, new_row) in new_rows.iter().enumerate() {
-            if *new_row != self.neighbors[u] {
-                rows.push((u as u32, new_row.clone()));
-                affected.insert(u as u32);
-            } else if !drifted.is_empty()
-                && self.membership[u] == MemberState::Alive
-                && new_row.iter().any(|v| drifted.binary_search(v).is_ok())
-            {
-                // Row unchanged, but a neighbor moved within range: the
-                // node's geometric one-hop world still changed.
-                affected.insert(u as u32);
-            }
-        }
-        for e in &entries {
-            // Crash subjects are dead; everyone else re-converges (a
-            // graceful leaver gets one final callback with an empty row).
-            if !matches!(e.kind, ChurnKind::Crash) {
-                affected.insert(e.node);
-            }
-        }
-        affected.retain(|&u| self.membership[u as usize].processes_events());
-        self.neighbors = new_rows;
-        self.stats.reconvergences += affected.len() as u64;
+        let topo = Arc::new(Topology::build(&self.positions, membership, self.range));
+        let mut affected: BTreeSet<u32> = (0..topo.rows.len() as u32)
+            .filter(|&u| {
+                let row = &topo.rows[u as usize];
+                // A changed row, or an unchanged one whose neighbor
+                // moved within range: the geometric one-hop world changed.
+                *row != old.rows[u as usize]
+                    || (topo.membership[u as usize] == MemberState::Alive
+                        && row.iter().any(|v| drifted.binary_search(v).is_ok()))
+            })
+            .collect();
+        // Crash subjects are dead; everyone else re-converges (a graceful
+        // leaver gets one final callback with an empty row).
+        affected.extend(
+            entries
+                .iter()
+                .filter(|e| !matches!(e.kind, ChurnKind::Crash))
+                .map(|e| e.node),
+        );
         let affected = affected
             .into_iter()
+            .filter(|&u| topo.membership[u as usize].processes_events())
             .map(|u| (u, self.positions[u as usize]))
             .collect();
+        self.core.topo = Arc::clone(&topo);
         ChurnDelta {
             time,
             entries,
-            rows,
+            topo,
             affected,
         }
     }
+}
 
-    /// Apply one churn batch's local effects: note the perturbation
-    /// records (plan order) and run the re-convergence callbacks of the
-    /// affected nodes this executor owns (all of them, sequentially).
-    /// Requires `self.now == delta.time` and `self.neighbors` /
-    /// `self.membership` already updated by [`Self::apply_churn_batch`].
-    pub(crate) fn apply_churn_local(&mut self, delta: &ChurnDelta) {
-        for e in &delta.entries {
-            match e.kind {
-                ChurnKind::Join(p) => self.notes.note(
-                    e.node,
-                    format_args!("J t={} n={} p=({:?},{:?})", delta.time, e.node, p.x, p.y),
-                ),
-                ChurnKind::Leave => self
-                    .notes
-                    .note(e.node, format_args!("G t={} n={}", delta.time, e.node)),
-                ChurnKind::Crash => self
-                    .notes
-                    .note(e.node, format_args!("C t={} n={}", delta.time, e.node)),
-                ChurnKind::Drift(p) => self.notes.note(
-                    e.node,
-                    format_args!("M t={} n={} p=({:?},{:?})", delta.time, e.node, p.x, p.y),
-                ),
-            }
+impl<A> Runtime<A>
+where
+    A: Actor + Send,
+    A::Msg: Send + Sync,
+{
+    /// Run to quiescence on up to `threads` worker threads, splitting the
+    /// core by spatial cell. Produces **bit-identical** transcripts,
+    /// stats, and actor states to [`Runtime::run`], which it falls back
+    /// to when only one core results (`threads <= 1`, or every node in
+    /// one cell). Returns the final virtual time.
+    ///
+    /// Call after [`Runtime::start`], exactly like `run()`.
+    pub fn run_sharded(&mut self, threads: usize) -> u64 {
+        let (part, shards) = Partition::spatial(&self.positions, self.range, threads);
+        if shards <= 1 {
+            return self.run();
         }
-        for &(node, pos) in &delta.affected {
-            let mut ctx = std::mem::take(&mut self.scratch);
-            ctx.reset(node, delta.time);
-            let row = std::mem::take(&mut self.neighbors[node as usize]);
-            self.nodes[node as usize].on_neighborhood_change(&mut ctx, &row, pos);
-            self.neighbors[node as usize] = row;
-            self.flush(&mut ctx);
-            self.scratch = ctx;
-        }
-    }
-
-    /// Run to quiescence on the sequential executor (see
-    /// [`Self::run_with_limit`]).
-    pub fn run(&mut self) -> u64 {
-        self.run_with_limit(u64::MAX);
-        self.now
-    }
-
-    /// Drain one callback's effect buffer, applying link faults to every
-    /// outgoing copy in emission order. The buffer is drained in place so
-    /// its capacity is reused by the next callback.
-    fn flush(&mut self, ctx: &mut Ctx<A::Msg>) {
-        let node = ctx.node;
-        for (to, msg) in ctx.sends.drain(..) {
-            self.transmit(node, to, msg);
-        }
-        for msg in ctx.broadcasts.drain(..) {
-            self.stats.broadcasts += 1;
-            // One shared payload for the whole fan-out; fan-out order is
-            // the sorted neighbor list. Targets come straight from that
-            // list, so the per-unicast locality check in `transmit` is
-            // skipped here.
-            let shared = std::sync::Arc::new(msg);
-            let nbrs = std::mem::take(&mut self.neighbors[node as usize]);
-            for &to in &nbrs {
-                self.transmit_link(node, to, Payload::Shared(shared.clone()));
-            }
-            self.neighbors[node as usize] = nbrs;
-        }
-        for (at, timer) in ctx.timers.drain(..) {
-            self.stats.timers_set += 1;
-            let seq = self.arm_seq[node as usize];
-            self.arm_seq[node as usize] += 1;
-            self.queue
-                .push(at, EventKey::timer(node, seq), EventKind::Timer { timer });
-        }
-    }
-
-    /// Validate a unicast against the `G*` locality discipline, then hand
-    /// it to the link layer. A nonexistent target is a programming error
-    /// (panic with a clear message); an in-plane but out-of-range target
-    /// is physically unreachable — the copy is discarded and counted in
-    /// [`NetStats::non_neighbor_sends`].
-    fn transmit(&mut self, from: u32, to: u32, msg: A::Msg) {
-        let n = self.nodes.len() as u32;
-        assert!(
-            to < n,
-            "node {from} sent {:?} to nonexistent node {to} (only {n} nodes exist)",
-            msg
-        );
-        if from == to || self.neighbors[from as usize].binary_search(&to).is_err() {
-            self.stats.non_neighbor_sends += 1;
-            self.notes.note(
-                from,
-                format_args!("L t={} {}->{} {:?}", self.now, from, to, msg),
-            );
-            return;
-        }
-        self.transmit_link(from, to, Payload::Own(msg));
-    }
-
-    /// Push one copy across a radio link, applying the fault model on the
-    /// link's private RNG stream.
-    fn transmit_link(&mut self, from: u32, to: u32, msg: Payload<A::Msg>) {
-        self.stats.sent += 1;
-        self.stats.kind(msg.get().kind()).sent += 1;
-        let seed = self.seed;
-        let link = self
-            .links
-            .entry(link_key(from, to))
-            .or_insert_with(|| LinkState::new(seed, from, to));
-        match self.faults.transmit(&mut link.rng) {
-            TransmitOutcome::Dropped => {
-                self.stats.dropped += 1;
-                self.stats.kind(msg.get().kind()).dropped += 1;
-                self.notes.note(
-                    from,
-                    format_args!("X t={} {}->{} {:?}", self.now, from, to, msg),
-                );
-            }
-            TransmitOutcome::Delivered(d) => {
-                let seq = link.copies;
-                link.copies += 1;
-                self.queue.push(
-                    self.now + d,
-                    EventKey::deliver(from, to, seq),
-                    EventKind::Deliver { msg },
-                );
-            }
-            TransmitOutcome::Duplicated(d1, d2) => {
-                self.stats.duplicated += 1;
-                let seq = link.copies;
-                link.copies += 2;
-                self.queue.push(
-                    self.now + d1,
-                    EventKey::deliver(from, to, seq),
-                    EventKind::Deliver { msg: msg.clone() },
-                );
-                self.queue.push(
-                    self.now + d2,
-                    EventKey::deliver(from, to, seq + 1),
-                    EventKind::Deliver { msg },
-                );
-            }
-        }
+        let part = Arc::new(part);
+        let cores = self.core.split(&part, shards);
+        let cores = rayon::scope(|scope| {
+            let mut pool = Pool::spawn(scope, cores, Arc::clone(&part));
+            self.drive(Some(&mut pool), u64::MAX);
+            pool.finish()
+        });
+        self.core.merge(cores, &part);
+        self.now()
     }
 }
 
@@ -590,6 +383,7 @@ impl<A: Actor> Runtime<A> {
 mod tests {
     use super::*;
     use crate::fault::DelayDist;
+    use crate::node::{Ctx, Message};
 
     /// A toy flood protocol: node 0 starts a token; every node forwards
     /// the first copy it sees to all radio neighbors.

@@ -1,207 +1,296 @@
-//! Sharded parallel execution of the runtime under conservative
-//! lookahead, with bit-identical replay digests.
+//! The executor core, and the worker pool that runs several of them.
 //!
-//! # Design
+//! # One executor
 //!
-//! Nodes are partitioned into spatial shards by grid cell (cell side =
-//! the radio range, the same cell notion as `adhoc_geom::GridIndex`);
-//! each shard owns its nodes, their pending events, and the RNG streams
-//! of every directed link *originating* at one of its nodes. Shards
-//! advance concurrently on worker threads (vendored `rayon::scope`, real
-//! OS threads) through **epochs**: half-open windows `[k·L, (k+1)·L)`
-//! where `L` is the fault model's minimum link delay (≥ 1 tick). Because
-//! every transmission takes at least `L` ticks, a message sent during
-//! epoch `k` cannot arrive before epoch `k+1` — so within an epoch each
-//! shard is causally independent, and cross-shard messages are exchanged
-//! at the barrier between epochs. Timers are node-local and may fire
-//! intra-epoch; they never cross shards.
+//! A `Shard` is everything needed to process the events of a set of
+//! nodes: their actors (a dense vector in node-id order), their pending
+//! events, the RNG streams of every directed link *originating* at one
+//! of them, their timer arm counters, counters, window sub-digests
+//! (`WindowNotes`) and one reused effect buffer. It has the runtime's
+//! only event loop (`Shard::advance`). Topology is not owned: every
+//! core reads one shared, immutable snapshot (`Arc<Topology>`) that the
+//! coordinator replaces at churn barriers, so memory does not grow with
+//! the number of cores.
+//!
+//! A [`Runtime`](crate::Runtime) holds one core owning every node.
+//! `run`/`run_with_limit` drive it inline, one epoch at a time, on the
+//! calling thread. `run_sharded(k)` splits it by spatial cell (cell side
+//! = the radio range) into up to `k` cores, advances each on a worker
+//! thread (vendored `rayon::scope`, real OS threads) through the same
+//! epochs, and merges them back at quiescence.
+//!
+//! # Epochs
+//!
+//! An epoch is a half-open window `[j·L, (j+1)·L)` where `L` is the fault
+//! model's minimum link delay (≥ 1 tick). Every transmission takes at
+//! least `L` ticks, so a message sent during epoch `j` cannot arrive
+//! before epoch `j+1`: within an epoch the cores are causally
+//! independent, and deliveries bound for another core wait in an outbox
+//! until the barrier. Timers are node-local and may fire intra-epoch;
+//! they never cross cores.
 //!
 //! # Why the digest is stable
 //!
 //! * Each directed link's fault fates come from its own RNG stream,
 //!   advanced in the sender's deterministic emission order — identical
-//!   whether the sender's shard runs first, last, or alone.
+//!   whether the sender's core runs first, last, or alone.
 //! * Events tie-break by the canonical [`EventKey`], so each node
 //!   processes its events in the same order under any layout.
 //! * Event records accumulate in per-node sub-digests and are folded
-//!   into the global digest in node-id order at each epoch barrier —
-//!   exactly where the sequential executor folds its window boundaries.
+//!   into the global digest in node-id order at each epoch barrier.
 //!
 //! The result: `run()`, `run_sharded(1)`, and `run_sharded(8)` produce
 //! bit-identical transcripts, stats, and actor states.
 
-use crate::churn::{ChurnDelta, ChurnKind};
-use crate::event::{Event, EventKind, EventQueue, Payload};
+use crate::churn::{ChurnDelta, ChurnKind, Topology};
+use crate::event::{Event, EventKey, EventKind, EventQueue, Payload};
 use crate::fault::{FaultConfig, TransmitOutcome};
 use crate::node::{Actor, Ctx, Message};
-use crate::runtime::{link_key, shard_threads_from_env, LinkState, Runtime};
-use crate::stats::{NetStats, WindowNotes};
+use crate::runtime::{link_key, LinkState};
+use crate::stats::{Folds, NetStats, WindowNotes};
 use crate::MemberState;
 use adhoc_geom::Point;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
-/// Assign each node to a shard: nodes sharing a grid cell (side =
-/// `range`) stay together, distinct cells round-robin over at most
-/// `threads` shards. Returns `(shard_of_node, shard_count)`.
-fn partition(positions: &[Point], range: f64, threads: usize) -> (Vec<u32>, usize) {
-    let cell = |p: &Point| ((p.x / range).floor() as i64, (p.y / range).floor() as i64);
-    let mut cells: Vec<(i64, i64)> = positions.iter().map(cell).collect();
-    let mut distinct = cells.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let shards = threads.min(distinct.len()).max(1);
-    let shard_of = cells
-        .drain(..)
-        .map(|c| {
-            let idx = distinct.binary_search(&c).expect("cell must be present");
-            (idx % shards) as u32
-        })
-        .collect();
-    (shard_of, shards)
+/// Which core owns each node, and the node's slot in that core's dense
+/// vectors. Slots ascend with node ids within a core.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    shard_of: Vec<u32>,
+    slot: Vec<u32>,
 }
 
-/// One shard: a self-contained slice of the runtime state.
-struct Shard<A: Actor> {
+impl Partition {
+    /// One core owning every node: node `i` sits in slot `i`.
+    pub(crate) fn single(n: usize) -> Self {
+        Partition {
+            shard_of: vec![0; n],
+            slot: (0..n as u32).collect(),
+        }
+    }
+
+    /// Nodes sharing a grid cell (side = `range`) stay together, distinct
+    /// cells round-robin over at most `threads` cores. Returns the
+    /// partition and its core count.
+    pub(crate) fn spatial(positions: &[Point], range: f64, threads: usize) -> (Self, usize) {
+        let cell = |p: &Point| ((p.x / range).floor() as i64, (p.y / range).floor() as i64);
+        let cells: Vec<(i64, i64)> = positions.iter().map(cell).collect();
+        let mut distinct = cells.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let shards = threads.min(distinct.len()).max(1);
+        let mut filled = vec![0u32; shards];
+        let (shard_of, slot) = cells
+            .iter()
+            .map(|c| {
+                let idx = distinct.binary_search(c).expect("cell must be present");
+                let shard = idx % shards;
+                filled[shard] += 1;
+                (shard as u32, filled[shard] - 1)
+            })
+            .unzip();
+        (Partition { shard_of, slot }, shards)
+    }
+}
+
+/// One executor core: a self-contained slice of the runtime state.
+#[derive(Debug)]
+pub(crate) struct Shard<A: Actor> {
     id: u32,
-    nodes: BTreeMap<u32, A>,
-    queue: EventQueue<A::Msg>,
-    /// RNG streams of directed links originating in this shard.
-    links: HashMap<u64, LinkState>,
-    /// Timer arm counters (full length; only own nodes' entries used).
+    /// Owned actors, one per slot.
+    pub(crate) nodes: Vec<A>,
+    /// Node id of each slot (ascending).
+    pub(crate) ids: Vec<u32>,
+    /// Timer arm counters per slot (feed [`EventKey::timer`] seqs).
     arm_seq: Vec<u64>,
-    /// This shard's copy of every node's neighbor row (full length;
-    /// senders need target rows for locality checks and broadcast
-    /// fan-out). Kept in lockstep via [`ChurnDelta::rows`].
-    neighbors: Vec<Vec<u32>>,
-    /// This shard's copy of the membership vector, updated from churn
-    /// batch entries at epoch barriers.
-    membership: Vec<MemberState>,
-    faults: FaultConfig,
+    part: Arc<Partition>,
+    pub(crate) topo: Arc<Topology>,
+    pub(crate) queue: EventQueue<A::Msg>,
+    /// RNG streams and copy counters of links originating in this core,
+    /// created lazily.
+    links: HashMap<u64, LinkState>,
+    pub(crate) faults: FaultConfig,
     seed: u64,
-    stats: NetStats,
-    notes: WindowNotes,
+    pub(crate) stats: NetStats,
+    pub(crate) notes: WindowNotes,
+    /// Reused effect buffer: one `Ctx` serves every callback so the
+    /// per-event hot path performs no allocations.
     scratch: Ctx<A::Msg>,
-    /// Deliveries bound for other shards, flushed at the epoch barrier.
+    /// Deliveries bound for other cores, handed over at the barrier.
     outbox: Vec<Event<A::Msg>>,
-    /// Time of the last event processed.
-    last_time: u64,
+    /// Time of the last event or churn batch processed.
+    pub(crate) now: u64,
 }
 
 impl<A: Actor> Shard<A> {
-    /// Process every owned event with `time < until` (one epoch). This
-    /// mirrors `Runtime::run_with_limit`'s event loop exactly — the
-    /// digest-parity tests pin the two implementations together.
-    fn advance(&mut self, until: u64, shard_of: &[u32], total_nodes: u32) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= until {
-                break;
+    /// One core owning every node.
+    pub(crate) fn new(nodes: Vec<A>, topo: Arc<Topology>, faults: FaultConfig, seed: u64) -> Self {
+        let n = nodes.len();
+        Shard {
+            id: 0,
+            nodes,
+            ids: (0..n as u32).collect(),
+            arm_seq: vec![0; n],
+            part: Arc::new(Partition::single(n)),
+            topo,
+            queue: EventQueue::new(),
+            links: HashMap::new(),
+            faults,
+            seed,
+            stats: NetStats::default(),
+            notes: WindowNotes::new(n, false),
+            scratch: Ctx::default(),
+            outbox: Vec::new(),
+            now: 0,
+        }
+    }
+
+    fn slot(&self, node: u32) -> usize {
+        self.part.slot[node as usize] as usize
+    }
+
+    fn owns(&self, node: u32) -> bool {
+        self.part.shard_of[node as usize] == self.id
+    }
+
+    fn note(&mut self, node: u32, args: std::fmt::Arguments<'_>) {
+        let slot = self.slot(node);
+        self.notes.note(slot, args);
+    }
+
+    /// Run one callback of `node`'s actor at `now` (it also sees the
+    /// node's neighbor row), then flush its effects.
+    fn callback(&mut self, node: u32, now: u64, f: impl FnOnce(&mut A, &mut Ctx<A::Msg>, &[u32])) {
+        let mut ctx = std::mem::take(&mut self.scratch);
+        ctx.reset(node, now);
+        let slot = self.slot(node);
+        f(
+            &mut self.nodes[slot],
+            &mut ctx,
+            &self.topo.rows[node as usize],
+        );
+        self.flush(&mut ctx);
+        self.scratch = ctx;
+    }
+
+    /// Deliver `on_start` to every owned live node in id order, then drain
+    /// the records it produced into `out`. Pending joiners get no
+    /// `on_start`; their bootstrap is the `on_neighborhood_change` at
+    /// their join boundary.
+    pub(crate) fn start(&mut self, out: &mut Folds) {
+        for slot in 0..self.ids.len() {
+            let node = self.ids[slot];
+            if self.topo.membership[node as usize] == MemberState::Alive {
+                self.callback(node, self.now, |a, ctx, _| a.on_start(ctx));
             }
+        }
+        self.notes.drain_into(&self.ids, out);
+    }
+
+    /// Run one epoch: apply `churn` (due at the epoch's start), process
+    /// every event before `until` while `budget` lasts, and drain the
+    /// window's records into `out`.
+    pub(crate) fn epoch(
+        &mut self,
+        until: u64,
+        churn: Option<&ChurnDelta>,
+        budget: &mut u64,
+        out: &mut Folds,
+    ) {
+        if let Some(delta) = churn {
+            self.apply_churn(delta);
+        }
+        self.advance(until, budget);
+        self.notes.drain_into(&self.ids, out);
+    }
+
+    /// The event loop: process queued events with `time < until`, one
+    /// unit of `budget` each, in `(time, EventKey)` order.
+    fn advance(&mut self, until: u64, budget: &mut u64) {
+        while *budget > 0 && self.queue.peek_time().is_some_and(|t| t < until) {
+            *budget -= 1;
             let ev = self.queue.pop().expect("peeked event vanished");
-            self.last_time = self.last_time.max(ev.time);
-            let node = ev.key.node;
-            let now = ev.time;
-            // Events addressed to a crashed node are accounted, not run —
-            // identical to the sequential executor's dead-node path.
-            if self.membership[node as usize] == MemberState::Dead {
-                match ev.kind {
-                    EventKind::Deliver { msg } => {
-                        self.stats.link_lost += 1;
-                        self.notes.note(
-                            node,
-                            format_args!("K t={} {}->{} {:?}", now, ev.key.src, node, msg),
-                        );
-                    }
-                    EventKind::Timer { timer } => {
-                        self.stats.timers_abandoned += 1;
-                        self.notes
-                            .note(node, format_args!("A t={} n={} id={}", now, node, timer));
-                    }
-                }
-                continue;
-            }
+            debug_assert!(ev.time >= self.now, "time must be monotone");
+            self.now = ev.time;
+            let (now, node) = (ev.time, ev.key.node);
+            // Events addressed to a crashed node are accounted, not run.
+            let dead = self.topo.membership[node as usize] == MemberState::Dead;
             match ev.kind {
+                EventKind::Deliver { msg } if dead => {
+                    self.stats.link_lost += 1;
+                    let from = ev.key.src;
+                    self.note(node, format_args!("K t={now} {from}->{node} {msg:?}"));
+                }
+                EventKind::Timer { timer } if dead => {
+                    self.stats.timers_abandoned += 1;
+                    self.note(node, format_args!("A t={now} n={node} id={timer}"));
+                }
                 EventKind::Deliver { msg } => {
                     let from = ev.key.src;
                     self.stats.delivered += 1;
                     self.stats.kind(msg.get().kind()).delivered += 1;
-                    self.notes.note(
-                        node,
-                        format_args!("D t={} {}->{} {:?}", now, from, node, msg),
-                    );
-                    let mut ctx = std::mem::take(&mut self.scratch);
-                    ctx.reset(node, now);
-                    self.nodes
-                        .get_mut(&node)
-                        .expect("event routed to wrong shard")
-                        .on_message(&mut ctx, from, msg.into_msg());
-                    self.flush(&mut ctx, shard_of, total_nodes);
-                    self.scratch = ctx;
+                    self.note(node, format_args!("D t={now} {from}->{node} {msg:?}"));
+                    self.callback(node, now, |a, ctx, _| {
+                        a.on_message(ctx, from, msg.into_msg())
+                    });
                 }
                 EventKind::Timer { timer } => {
                     self.stats.timers_fired += 1;
-                    self.notes
-                        .note(node, format_args!("T t={} n={} id={}", now, node, timer));
-                    let mut ctx = std::mem::take(&mut self.scratch);
-                    ctx.reset(node, now);
-                    self.nodes
-                        .get_mut(&node)
-                        .expect("event routed to wrong shard")
-                        .on_timer(&mut ctx, timer);
-                    self.flush(&mut ctx, shard_of, total_nodes);
-                    self.scratch = ctx;
+                    self.note(node, format_args!("T t={now} n={node} id={timer}"));
+                    self.callback(node, now, |a, ctx, _| a.on_timer(ctx, timer));
                 }
             }
         }
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<A::Msg>, shard_of: &[u32], total_nodes: u32) {
-        let node = ctx.node;
-        let now = ctx.now();
+    /// Drain one callback's effect buffer, applying link faults to every
+    /// outgoing copy in emission order. The buffer is drained in place so
+    /// its capacity is reused by the next callback.
+    fn flush(&mut self, ctx: &mut Ctx<A::Msg>) {
+        let (node, now) = (ctx.node, ctx.now());
         for (to, msg) in ctx.sends.drain(..) {
+            // Validate the unicast against the `G*` locality discipline:
+            // a nonexistent target is a programming error; an in-plane
+            // but out-of-range one is unreachable, so the copy is
+            // discarded and counted.
+            let n = self.part.slot.len();
             assert!(
-                to < total_nodes,
-                "node {node} sent {:?} to nonexistent node {to} (only {total_nodes} nodes exist)",
-                msg
+                (to as usize) < n,
+                "node {node} sent {msg:?} to nonexistent node {to} (only {n} nodes exist)"
             );
-            if node == to || self.neighbors[node as usize].binary_search(&to).is_err() {
+            if node == to || self.topo.rows[node as usize].binary_search(&to).is_err() {
                 self.stats.non_neighbor_sends += 1;
-                self.notes
-                    .note(node, format_args!("L t={} {}->{} {:?}", now, node, to, msg));
+                self.note(node, format_args!("L t={now} {node}->{to} {msg:?}"));
                 continue;
             }
-            self.transmit_link(now, node, to, Payload::Own(msg), shard_of);
+            self.transmit_link(now, node, to, Payload::Own(msg));
         }
         for msg in ctx.broadcasts.drain(..) {
             self.stats.broadcasts += 1;
-            // One shared payload per broadcast — mirrors `Runtime::flush`.
-            let shared = std::sync::Arc::new(msg);
-            let nbrs = std::mem::take(&mut self.neighbors[node as usize]);
-            for &to in &nbrs {
-                self.transmit_link(now, node, to, Payload::Shared(shared.clone()), shard_of);
+            // One shared payload for the whole fan-out, in sorted
+            // neighbor order; targets come straight from the row, so no
+            // locality check.
+            let shared = Arc::new(msg);
+            for i in 0..self.topo.rows[node as usize].len() {
+                let to = self.topo.rows[node as usize][i];
+                self.transmit_link(now, node, to, Payload::Shared(shared.clone()));
             }
-            self.neighbors[node as usize] = nbrs;
         }
         for (at, timer) in ctx.timers.drain(..) {
             self.stats.timers_set += 1;
-            let seq = self.arm_seq[node as usize];
-            self.arm_seq[node as usize] += 1;
-            self.queue.push(
-                at,
-                crate::event::EventKey::timer(node, seq),
-                EventKind::Timer { timer },
-            );
+            let slot = self.slot(node);
+            let seq = self.arm_seq[slot];
+            self.arm_seq[slot] += 1;
+            self.queue
+                .push(at, EventKey::timer(node, seq), EventKind::Timer { timer });
         }
     }
 
-    fn transmit_link(
-        &mut self,
-        now: u64,
-        from: u32,
-        to: u32,
-        msg: Payload<A::Msg>,
-        shard_of: &[u32],
-    ) {
+    /// Push one copy across a radio link, applying the fault model on the
+    /// link's private RNG stream.
+    fn transmit_link(&mut self, now: u64, from: u32, to: u32, msg: Payload<A::Msg>) {
         self.stats.sent += 1;
         self.stats.kind(msg.get().kind()).sent += 1;
         let seed = self.seed;
@@ -209,373 +298,293 @@ impl<A: Actor> Shard<A> {
             .links
             .entry(link_key(from, to))
             .or_insert_with(|| LinkState::new(seed, from, to));
+        let seq = link.copies;
         match self.faults.transmit(&mut link.rng) {
             TransmitOutcome::Dropped => {
                 self.stats.dropped += 1;
                 self.stats.kind(msg.get().kind()).dropped += 1;
-                self.notes
-                    .note(from, format_args!("X t={} {}->{} {:?}", now, from, to, msg));
+                self.note(from, format_args!("X t={now} {from}->{to} {msg:?}"));
             }
             TransmitOutcome::Delivered(d) => {
-                let seq = link.copies;
                 link.copies += 1;
-                self.route(
-                    Event {
-                        time: now + d,
-                        key: crate::event::EventKey::deliver(from, to, seq),
-                        kind: EventKind::Deliver { msg },
-                    },
-                    shard_of,
-                );
+                self.route(now + d, EventKey::deliver(from, to, seq), msg);
             }
             TransmitOutcome::Duplicated(d1, d2) => {
-                self.stats.duplicated += 1;
-                let seq = link.copies;
                 link.copies += 2;
-                self.route(
-                    Event {
-                        time: now + d1,
-                        key: crate::event::EventKey::deliver(from, to, seq),
-                        kind: EventKind::Deliver { msg: msg.clone() },
-                    },
-                    shard_of,
-                );
-                self.route(
-                    Event {
-                        time: now + d2,
-                        key: crate::event::EventKey::deliver(from, to, seq + 1),
-                        kind: EventKind::Deliver { msg },
-                    },
-                    shard_of,
-                );
+                self.stats.duplicated += 1;
+                self.route(now + d1, EventKey::deliver(from, to, seq), msg.clone());
+                self.route(now + d2, EventKey::deliver(from, to, seq + 1), msg);
             }
         }
     }
 
-    fn route(&mut self, ev: Event<A::Msg>, shard_of: &[u32]) {
-        if shard_of[ev.key.node as usize] == self.id {
+    /// Queue a delivery here, or in the outbox when another core owns the
+    /// receiver.
+    fn route(&mut self, time: u64, key: EventKey, msg: Payload<A::Msg>) {
+        let ev = Event {
+            time,
+            key,
+            kind: EventKind::Deliver { msg },
+        };
+        if self.owns(key.node) {
             self.queue.insert(ev);
         } else {
             self.outbox.push(ev);
         }
     }
 
-    /// Apply one churn batch at an epoch barrier: sync membership and the
-    /// changed neighbor rows from the coordinator's [`ChurnDelta`], note
-    /// the perturbation records of owned entry nodes (plan order), and
-    /// run the re-convergence callbacks of owned affected nodes — the
-    /// shard-local half of `Runtime::apply_churn_local`.
-    fn apply_churn(&mut self, delta: &ChurnDelta, shard_of: &[u32], total_nodes: u32) {
+    /// Apply one churn batch at the start of its epoch: adopt the new
+    /// topology, count and note the perturbations of owned nodes (plan
+    /// order), and run the re-convergence callbacks of owned affected
+    /// nodes.
+    fn apply_churn(&mut self, delta: &ChurnDelta) {
+        self.topo = Arc::clone(&delta.topo);
+        let t = delta.time;
+        self.now = self.now.max(t);
         for e in &delta.entries {
-            match e.kind {
-                ChurnKind::Join(_) => self.membership[e.node as usize] = MemberState::Alive,
-                ChurnKind::Leave => self.membership[e.node as usize] = MemberState::Draining,
-                ChurnKind::Crash => self.membership[e.node as usize] = MemberState::Dead,
-                ChurnKind::Drift(_) => {}
-            }
-        }
-        for (node, row) in &delta.rows {
-            self.neighbors[*node as usize] = row.clone();
-        }
-        for e in &delta.entries {
-            if shard_of[e.node as usize] != self.id {
+            if !self.owns(e.node) {
                 continue;
             }
+            let n = e.node;
             match e.kind {
-                ChurnKind::Join(p) => self.notes.note(
-                    e.node,
-                    format_args!("J t={} n={} p=({:?},{:?})", delta.time, e.node, p.x, p.y),
-                ),
-                ChurnKind::Leave => self
-                    .notes
-                    .note(e.node, format_args!("G t={} n={}", delta.time, e.node)),
-                ChurnKind::Crash => self
-                    .notes
-                    .note(e.node, format_args!("C t={} n={}", delta.time, e.node)),
-                ChurnKind::Drift(p) => self.notes.note(
-                    e.node,
-                    format_args!("M t={} n={} p=({:?},{:?})", delta.time, e.node, p.x, p.y),
-                ),
+                ChurnKind::Join(p) => {
+                    self.stats.joins += 1;
+                    self.note(n, format_args!("J t={t} n={n} p=({:?},{:?})", p.x, p.y));
+                }
+                ChurnKind::Leave => {
+                    self.stats.leaves += 1;
+                    self.note(n, format_args!("G t={t} n={n}"));
+                }
+                ChurnKind::Crash => {
+                    self.stats.crashes += 1;
+                    self.note(n, format_args!("C t={t} n={n}"));
+                }
+                ChurnKind::Drift(p) => {
+                    self.stats.drifts += 1;
+                    self.note(n, format_args!("M t={t} n={n} p=({:?},{:?})", p.x, p.y));
+                }
             }
         }
         for &(node, pos) in &delta.affected {
-            if shard_of[node as usize] != self.id {
-                continue;
+            if self.owns(node) {
+                self.stats.reconvergences += 1;
+                self.callback(node, t, |a, ctx, row| {
+                    a.on_neighborhood_change(ctx, row, pos)
+                });
             }
-            let mut ctx = std::mem::take(&mut self.scratch);
-            ctx.reset(node, delta.time);
-            let row = std::mem::take(&mut self.neighbors[node as usize]);
-            self.nodes
-                .get_mut(&node)
-                .expect("affected node routed to wrong shard")
-                .on_neighborhood_change(&mut ctx, &row, pos);
-            self.neighbors[node as usize] = row;
-            self.flush(&mut ctx, shard_of, total_nodes);
-            self.scratch = ctx;
+        }
+    }
+
+    /// Split this core's nodes, events, link streams and arm counters
+    /// into one core per shard of `part`. Counters stay here; the new
+    /// cores count from zero until [`Self::merge`] sums them back.
+    pub(crate) fn split(&mut self, part: &Arc<Partition>, shards: usize) -> Vec<Shard<A>> {
+        let recording = self.notes.recording();
+        let mut cores: Vec<Shard<A>> = (0..shards as u32)
+            .map(|id| Shard {
+                id,
+                part: Arc::clone(part),
+                now: self.now,
+                ..Shard::new(Vec::new(), Arc::clone(&self.topo), self.faults, self.seed)
+            })
+            .collect();
+        let nodes = std::mem::take(&mut self.nodes);
+        for ((node, actor), arm) in self.ids.iter().zip(nodes).zip(self.arm_seq.drain(..)) {
+            let core = &mut cores[part.shard_of[*node as usize] as usize];
+            core.nodes.push(actor);
+            core.ids.push(*node);
+            core.arm_seq.push(arm);
+        }
+        for core in &mut cores {
+            core.notes = WindowNotes::new(core.ids.len(), recording);
+        }
+        while let Some(ev) = self.queue.pop() {
+            cores[part.shard_of[ev.key.node as usize] as usize]
+                .queue
+                .insert(ev);
+        }
+        for (key, link) in self.links.drain() {
+            let from = (key >> 32) as usize;
+            cores[part.shard_of[from] as usize].links.insert(key, link);
+        }
+        cores
+    }
+
+    /// Undo [`Self::split`]: take back every node (in id order), pending
+    /// event, link stream and arm counter, and add the cores' counters.
+    pub(crate) fn merge(&mut self, cores: Vec<Shard<A>>, part: &Partition) {
+        let mut parts = Vec::with_capacity(cores.len());
+        for mut core in cores {
+            self.stats.absorb(&core.stats);
+            self.links.extend(core.links.drain());
+            self.now = self.now.max(core.now);
+            while let Some(ev) = core.queue.pop() {
+                self.queue.insert(ev);
+            }
+            parts.push(core.nodes.into_iter().zip(core.arm_seq));
+        }
+        for &shard in &part.shard_of {
+            let (actor, arm) = parts[shard as usize].next().expect("node lost in merge");
+            self.nodes.push(actor);
+            self.arm_seq.push(arm);
         }
     }
 }
 
-/// Coordinator → worker command.
-enum Cmd<M> {
-    /// Process one epoch: merge `inbox`, apply `churn` (if the epoch
-    /// starts at a churn boundary), then run events `< until`.
-    Advance {
-        until: u64,
-        inbox: Vec<Event<M>>,
-        churn: Option<ChurnDelta>,
-    },
-    /// Ship the shard state back and exit.
-    Finish,
+/// Coordinator → worker: run one epoch. Dropping the command channel
+/// tells the worker to ship its core back and exit.
+struct Advance<M> {
+    until: u64,
+    /// Deliveries from other cores due in this epoch or later.
+    inbox: Vec<Event<M>>,
+    churn: Option<ChurnDelta>,
 }
 
 /// Worker → coordinator epoch report.
 struct EpochReport<M> {
     shard: u32,
-    /// Cross-shard deliveries produced this epoch.
+    /// Deliveries bound for other cores.
     outbox: Vec<Event<M>>,
-    /// Dirty `(node, sub-digest)` pairs, sorted by node.
-    folds: Vec<(u32, u64)>,
-    /// Rendered records (recording mode only), sorted by node.
-    logs: Vec<(u32, String)>,
+    folds: Folds,
     /// Events still queued after the epoch.
     queue_len: usize,
-    /// Firing time of the shard's next queued event.
+    /// Firing time of the core's next queued event.
     next_time: Option<u64>,
-    /// Latest event time processed so far.
-    last_time: u64,
 }
 
 enum Report<A: Actor> {
     Epoch(EpochReport<A::Msg>),
-    Done(u32, Box<Shard<A>>),
+    Done(Box<Shard<A>>),
 }
 
 fn worker_loop<A: Actor>(
-    mut shard: Shard<A>,
-    cmds: Receiver<Cmd<A::Msg>>,
+    mut core: Shard<A>,
+    cmds: Receiver<Advance<A::Msg>>,
     reports: Sender<Report<A>>,
-    shard_of: &[u32],
 ) {
-    let total_nodes = shard_of.len() as u32;
     while let Ok(cmd) = cmds.recv() {
-        match cmd {
-            Cmd::Advance {
-                until,
-                inbox,
-                churn,
-            } => {
-                for ev in inbox {
-                    shard.queue.insert(ev);
-                }
-                if let Some(delta) = &churn {
-                    shard.apply_churn(delta, shard_of, total_nodes);
-                }
-                shard.advance(until, shard_of, total_nodes);
-                let (folds, logs) = shard.notes.take_folds();
-                let report = EpochReport {
-                    shard: shard.id,
-                    outbox: std::mem::take(&mut shard.outbox),
-                    folds,
-                    logs,
-                    queue_len: shard.queue.len(),
-                    next_time: shard.queue.peek_time(),
-                    last_time: shard.last_time,
-                };
-                if reports.send(Report::Epoch(report)).is_err() {
-                    return;
-                }
-            }
-            Cmd::Finish => {
-                let id = shard.id;
-                let _ = reports.send(Report::Done(id, Box::new(shard)));
-                return;
-            }
+        for ev in cmd.inbox {
+            core.queue.insert(ev);
+        }
+        let (mut folds, mut unlimited) = (Folds::default(), u64::MAX);
+        core.epoch(cmd.until, cmd.churn.as_ref(), &mut unlimited, &mut folds);
+        let report = EpochReport {
+            shard: core.id,
+            outbox: std::mem::take(&mut core.outbox),
+            folds,
+            queue_len: core.queue.len(),
+            next_time: core.queue.peek_time(),
+        };
+        if reports.send(Report::Epoch(report)).is_err() {
+            return;
+        }
+    }
+    let _ = reports.send(Report::Done(Box::new(core)));
+}
+
+/// The coordinator's handle on cores running on worker threads.
+pub(crate) struct Pool<A: Actor> {
+    cmds: Vec<Sender<Advance<A::Msg>>>,
+    reports: Receiver<Report<A>>,
+    /// Cross-core deliveries waiting for the next epoch, per core.
+    inboxes: Vec<Vec<Event<A::Msg>>>,
+    next_times: Vec<Option<u64>>,
+    part: Arc<Partition>,
+}
+
+impl<A> Pool<A>
+where
+    A: Actor + Send,
+    A::Msg: Send + Sync,
+{
+    /// Start one worker thread per core.
+    pub(crate) fn spawn<'scope>(
+        scope: &rayon::Scope<'scope, '_>,
+        cores: Vec<Shard<A>>,
+        part: Arc<Partition>,
+    ) -> Self
+    where
+        A: 'scope,
+    {
+        let (report_tx, reports) = channel();
+        let next_times = cores.iter().map(|c| c.queue.peek_time()).collect();
+        let inboxes = cores.iter().map(|_| Vec::new()).collect();
+        let cmds = cores
+            .into_iter()
+            .map(|core| {
+                let (tx, rx) = channel();
+                let report_tx = report_tx.clone();
+                scope.spawn(move || worker_loop(core, rx, report_tx));
+                tx
+            })
+            .collect();
+        Pool {
+            cmds,
+            reports,
+            inboxes,
+            next_times,
+            part,
         }
     }
 }
 
-impl<A: Actor> Runtime<A>
-where
-    A: Send,
-    A::Msg: Send + Sync,
-{
-    /// Run to quiescence on up to `threads` worker threads, sharding
-    /// nodes by spatial cell. Produces **bit-identical** transcripts,
-    /// stats, and actor states to the sequential [`Runtime::run`] — any
-    /// divergence is a bug (pinned by the digest-parity tests).
-    ///
-    /// Call after [`Runtime::start`], exactly like `run()`.
-    pub fn run_sharded(&mut self, threads: usize) -> u64 {
-        let (shard_of, shards) = partition(&self.positions, self.range, threads);
-        if shards <= 1 {
-            return self.run();
-        }
-        let lookahead = self.faults.min_delay();
-        let n = self.nodes.len();
-        let recording = self.trace.recording();
-
-        // Split runtime state into per-shard slices.
-        let mut per: Vec<Shard<A>> = (0..shards as u32)
-            .map(|id| Shard {
-                id,
-                nodes: BTreeMap::new(),
-                queue: EventQueue::new(),
-                links: HashMap::new(),
-                arm_seq: self.arm_seq.clone(),
-                neighbors: self.neighbors.clone(),
-                membership: self.membership.clone(),
-                faults: self.faults,
-                seed: self.seed,
-                stats: NetStats::default(),
-                notes: WindowNotes::new(n, recording),
-                scratch: Ctx::default(),
-                outbox: Vec::new(),
-                last_time: self.now,
-            })
-            .collect();
-        for (id, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            per[shard_of[id] as usize].nodes.insert(id as u32, node);
-        }
-        while let Some(ev) = self.queue.pop() {
-            per[shard_of[ev.key.node as usize] as usize]
-                .queue
-                .insert(ev);
-        }
-        for (key, link) in self.links.drain() {
-            let from = (key >> 32) as u32;
-            per[shard_of[from as usize] as usize]
-                .links
-                .insert(key, link);
-        }
-
-        // Coordinator-side per-shard bookkeeping.
-        let mut inboxes: Vec<Vec<Event<A::Msg>>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut next_times: Vec<Option<u64>> = per.iter().map(|s| s.queue.peek_time()).collect();
-
-        let shard_of_ref = &shard_of;
-        let (report_tx, report_rx) = channel::<Report<A>>();
-        let mut cmd_txs: Vec<Sender<Cmd<A::Msg>>> = Vec::with_capacity(shards);
-
-        let (final_now, mut done) = rayon::scope(|scope| {
-            for shard in per.drain(..) {
-                let (cmd_tx, cmd_rx) = channel::<Cmd<A::Msg>>();
-                cmd_txs.push(cmd_tx);
-                let tx = report_tx.clone();
-                scope.spawn(move || worker_loop(shard, cmd_rx, tx, shard_of_ref));
-            }
-            drop(report_tx);
-
-            let mut now = self.now;
-            loop {
-                // Earliest pending event anywhere (queues or unrouted
-                // inboxes); quiescent when none and no churn remains.
-                let pending_min = next_times
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .chain(inboxes.iter().flat_map(|ib| ib.iter().map(|ev| ev.time)))
-                    .min();
-                // A churn batch due at `tc` (always lookahead-aligned)
-                // opens the epoch `[tc, tc + L)`: the coordinator applies
-                // it to the master state and ships the delta to every
-                // worker — the exact cut the sequential executor makes.
-                let due_churn = self
-                    .churn
-                    .peek_time()
-                    .filter(|&tc| pending_min.is_none_or(|t| tc <= t));
-                let (until, churn) = if let Some(tc) = due_churn {
-                    now = now.max(tc);
-                    (tc + lookahead, Some(self.apply_churn_batch()))
-                } else if let Some(t) = pending_min {
-                    // One epoch: the lookahead window containing `t`.
-                    ((t / lookahead + 1) * lookahead, None)
-                } else {
-                    break;
-                };
-                for (tx, inbox) in cmd_txs.iter().zip(inboxes.iter_mut()) {
-                    tx.send(Cmd::Advance {
-                        until,
-                        inbox: std::mem::take(inbox),
-                        churn: churn.clone(),
-                    })
-                    .expect("worker died");
-                }
-                let mut pending_total = 0usize;
-                let mut folds: Vec<(u32, u64)> = Vec::new();
-                let mut logs: Vec<(u32, String)> = Vec::new();
-                for _ in 0..shards {
-                    let Ok(Report::Epoch(r)) = report_rx.recv() else {
-                        panic!("worker died mid-epoch");
-                    };
-                    pending_total += r.queue_len + r.outbox.len();
-                    next_times[r.shard as usize] = r.next_time;
-                    now = now.max(r.last_time);
-                    folds.extend(r.folds);
-                    logs.extend(r.logs);
-                    for ev in r.outbox {
-                        inboxes[shard_of[ev.key.node as usize] as usize].push(ev);
-                    }
-                }
-                // Barrier: fold this epoch's sub-digests in node-id
-                // order — node sets are disjoint across shards, so a
-                // global sort reproduces the sequential fold exactly.
-                folds.sort_unstable_by_key(|&(node, _)| node);
-                for (node, sub) in folds {
-                    self.trace.fold_node(node, sub);
-                }
-                logs.sort_by_key(|&(node, _)| node);
-                for (_, entry) in logs {
-                    self.trace.push_entry(entry);
-                }
-                self.stats.max_queue_depth = self.stats.max_queue_depth.max(pending_total);
-            }
-
-            for tx in &cmd_txs {
-                tx.send(Cmd::Finish).expect("worker died");
-            }
-            let mut done: Vec<Option<Box<Shard<A>>>> = (0..shards).map(|_| None).collect();
-            for _ in 0..shards {
-                let Ok(Report::Done(id, state)) = report_rx.recv() else {
-                    panic!("worker died at finish");
-                };
-                done[id as usize] = Some(state);
-            }
-            (now, done)
-        });
-
-        // Reassemble the runtime: nodes in id order, links and arm
-        // counters merged, per-shard stats summed.
-        let mut nodes: Vec<Option<A>> = (0..n).map(|_| None).collect();
-        for shard in done.iter_mut().map(|s| s.take().expect("missing shard")) {
-            let shard = *shard;
-            for (id, node) in shard.nodes {
-                nodes[id as usize] = Some(node);
-            }
-            self.links.extend(shard.links);
-            for (id, &owner) in shard_of.iter().enumerate() {
-                if owner == shard.id {
-                    self.arm_seq[id] = shard.arm_seq[id];
-                }
-            }
-            self.stats.absorb(&shard.stats);
-        }
-        self.nodes = nodes
-            .into_iter()
-            .map(|n| n.expect("node lost in resharding"))
-            .collect();
-        self.now = final_now;
-        self.now
+impl<A: Actor> Pool<A> {
+    /// Earliest pending event in any core or inbox.
+    pub(crate) fn next_time(&self) -> Option<u64> {
+        let inboxed = self.inboxes.iter().flatten().map(|ev| ev.time);
+        self.next_times
+            .iter()
+            .flatten()
+            .copied()
+            .chain(inboxed)
+            .min()
     }
 
-    /// Run to quiescence on the executor selected by the
-    /// `ADHOC_SHARD_THREADS` environment variable: sequential when unset
-    /// or `1`, sharded otherwise. Digests are identical either way.
-    pub fn run_auto(&mut self) -> u64 {
-        match shard_threads_from_env() {
-            0 | 1 => self.run(),
-            t => self.run_sharded(t),
+    /// Run one epoch on every core, collect the window's records into
+    /// `out`, and route cross-core deliveries. Returns the number of
+    /// pending events afterwards.
+    pub(crate) fn epoch(
+        &mut self,
+        until: u64,
+        churn: Option<ChurnDelta>,
+        out: &mut Folds,
+    ) -> usize {
+        for (tx, inbox) in self.cmds.iter().zip(&mut self.inboxes) {
+            let cmd = Advance {
+                until,
+                inbox: std::mem::take(inbox),
+                churn: churn.clone(),
+            };
+            tx.send(cmd).expect("worker died");
         }
+        let mut pending = 0;
+        for _ in 0..self.cmds.len() {
+            let Ok(Report::Epoch(r)) = self.reports.recv() else {
+                panic!("worker died mid-epoch");
+            };
+            pending += r.queue_len + r.outbox.len();
+            self.next_times[r.shard as usize] = r.next_time;
+            out.append(r.folds);
+            for ev in r.outbox {
+                self.inboxes[self.part.shard_of[ev.key.node as usize] as usize].push(ev);
+            }
+        }
+        pending
+    }
+
+    /// Stop the workers and take their cores back, in core order.
+    pub(crate) fn finish(self) -> Vec<Shard<A>> {
+        debug_assert!(self.inboxes.iter().all(Vec::is_empty));
+        drop(self.cmds);
+        let mut cores: Vec<Shard<A>> = (0..self.next_times.len())
+            .map(|_| self.reports.recv())
+            .map(|r| match r {
+                Ok(Report::Done(core)) => *core,
+                _ => panic!("worker died at finish"),
+            })
+            .collect();
+        cores.sort_by_key(|c| c.id);
+        cores
     }
 }
 
@@ -583,6 +592,7 @@ where
 mod tests {
     use super::*;
     use crate::fault::DelayDist;
+    use crate::{Runtime, Transcript};
 
     /// A mesh gossip protocol exercising broadcasts, unicasts, timers,
     /// and multi-hop chatter — enough surface to catch ordering bugs.
@@ -779,10 +789,297 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
     }
 
+    /// A random actor program: each node's behaviour comes from its own
+    /// seeded stream — when it arms timers, whether it broadcasts, and
+    /// whom it unicasts (neighbors, out-of-range nodes, or itself).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Script {
+        id: u32,
+        n: u32,
+        state: u64,
+        budget: u32,
+        heard: Vec<(u32, u32)>,
+    }
+
+    impl Script {
+        fn draw(&mut self, k: u64) -> u64 {
+            self.state = crate::runtime::splitmix64(self.state);
+            self.state % k
+        }
+    }
+
+    impl Actor for Script {
+        type Msg = Word;
+
+        fn on_start(&mut self, ctx: &mut Ctx<Word>) {
+            for timer in 0..1 + self.draw(2) as u32 {
+                ctx.set_timer(1 + self.draw(4), timer);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<Word>, from: u32, msg: Word) {
+            self.heard.push((from, msg.0));
+            if msg.0 > 0 && self.draw(2) == 0 {
+                ctx.send(from, Word(msg.0 - 1));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<Word>, timer: u32) {
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            let word = Word(self.draw(4) as u32);
+            match self.draw(3) {
+                0 => ctx.broadcast(word),
+                1 => ctx.send(self.draw(self.n as u64) as u32, word),
+                _ => {}
+            }
+            ctx.set_timer(1 + self.draw(6), timer);
+        }
+    }
+
+    /// The naive reference executor: one plain `Vec` of events, re-sorted
+    /// by `(time, EventKey)` before every pop — no cores, no epochs, no
+    /// partition. It shares only the link streams and fault fates with
+    /// the runtime. Records are grouped per lookahead window by owning
+    /// node, the transcript's canonical order, and digested the same way.
+    struct Reference<A: Actor> {
+        nodes: Vec<A>,
+        rows: Vec<Vec<u32>>,
+        events: Vec<Event<A::Msg>>,
+        links: HashMap<u64, LinkState>,
+        arms: Vec<u64>,
+        faults: FaultConfig,
+        seed: u64,
+        stats: NetStats,
+        /// `(owner, record)` of the open window, in emission order.
+        window: Vec<(u32, String)>,
+        trace: Transcript,
+        entries: Vec<String>,
+    }
+
+    impl<A: Actor> Reference<A> {
+        fn run(
+            nodes: Vec<A>,
+            points: &[Point],
+            range: f64,
+            faults: FaultConfig,
+            seed: u64,
+        ) -> Self {
+            let n = nodes.len();
+            let rows = (0..n)
+                .map(|u| {
+                    (0..n as u32)
+                        .filter(|&v| {
+                            v as usize != u
+                                && points[u].dist_sq(points[v as usize]) <= range * range
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut r = Reference {
+                nodes,
+                rows,
+                events: Vec::new(),
+                links: HashMap::new(),
+                arms: vec![0; n],
+                faults,
+                seed,
+                stats: NetStats::default(),
+                window: Vec::new(),
+                trace: Transcript::new(true),
+                entries: Vec::new(),
+            };
+            for id in 0..n as u32 {
+                let mut ctx = Ctx::new(id, 0);
+                r.nodes[id as usize].on_start(&mut ctx);
+                r.effects(ctx);
+            }
+            r.close(r.events.len());
+            let lookahead = faults.min_delay();
+            let mut open = None;
+            loop {
+                r.events.sort_by_key(|e| std::cmp::Reverse((e.time, e.key)));
+                let Some(ev) = r.events.pop() else { break };
+                let window = ev.time / lookahead;
+                if open.is_some_and(|w| w != window) {
+                    // The runtime samples the pending count at the
+                    // barrier, before this event is taken.
+                    r.close(r.events.len() + 1);
+                }
+                open = Some(window);
+                let (t, node) = (ev.time, ev.key.node);
+                let mut ctx = Ctx::new(node, t);
+                match ev.kind {
+                    EventKind::Deliver { msg } => {
+                        let (from, msg) = (ev.key.src, msg.into_msg());
+                        r.stats.delivered += 1;
+                        r.stats.kind(msg.kind()).delivered += 1;
+                        r.record(node, format!("D t={t} {from}->{node} {msg:?}"));
+                        r.nodes[node as usize].on_message(&mut ctx, from, msg);
+                    }
+                    EventKind::Timer { timer } => {
+                        r.stats.timers_fired += 1;
+                        r.record(node, format!("T t={t} n={node} id={timer}"));
+                        r.nodes[node as usize].on_timer(&mut ctx, timer);
+                    }
+                }
+                r.effects(ctx);
+            }
+            r.close(0);
+            r
+        }
+
+        fn record(&mut self, owner: u32, entry: String) {
+            self.window.push((owner, entry));
+        }
+
+        /// Close the open window: sample the pending count, then digest
+        /// and log its records node by node.
+        fn close(&mut self, pending: usize) {
+            let depth = &mut self.stats.max_queue_depth;
+            *depth = (*depth).max(pending);
+            self.window.sort_by_key(|&(owner, _)| owner);
+            for group in self.window.chunk_by(|a, b| a.0 == b.0) {
+                let sub = group
+                    .iter()
+                    .fold(Transcript::new(false).digest(), |d, (_, e)| {
+                        let d = e
+                            .bytes()
+                            .fold(d, |d, b| (d ^ b as u64).wrapping_mul(FNV_PRIME));
+                        (d ^ 0xff).wrapping_mul(FNV_PRIME)
+                    });
+                self.trace.fold_node(group[0].0, sub);
+            }
+            self.entries.extend(self.window.drain(..).map(|(_, e)| e));
+        }
+
+        fn effects(&mut self, ctx: Ctx<A::Msg>) {
+            let (node, now) = (ctx.node, ctx.now());
+            for (to, msg) in ctx.sends {
+                if self.rows[node as usize].contains(&to) {
+                    self.send_copy(now, node, to, msg);
+                } else {
+                    self.stats.non_neighbor_sends += 1;
+                    self.record(node, format!("L t={now} {node}->{to} {msg:?}"));
+                }
+            }
+            for msg in ctx.broadcasts {
+                self.stats.broadcasts += 1;
+                for to in self.rows[node as usize].clone() {
+                    self.send_copy(now, node, to, msg.clone());
+                }
+            }
+            for (at, timer) in ctx.timers {
+                self.stats.timers_set += 1;
+                let key = EventKey::timer(node, self.arms[node as usize]);
+                self.arms[node as usize] += 1;
+                let kind = EventKind::Timer { timer };
+                self.events.push(Event {
+                    time: at,
+                    key,
+                    kind,
+                });
+            }
+        }
+
+        fn send_copy(&mut self, now: u64, from: u32, to: u32, msg: A::Msg) {
+            self.stats.sent += 1;
+            self.stats.kind(msg.kind()).sent += 1;
+            let seed = self.seed;
+            let link = self
+                .links
+                .entry(link_key(from, to))
+                .or_insert_with(|| LinkState::new(seed, from, to));
+            let delays = match self.faults.transmit(&mut link.rng) {
+                TransmitOutcome::Dropped => {
+                    self.stats.dropped += 1;
+                    self.stats.kind(msg.kind()).dropped += 1;
+                    self.record(from, format!("X t={now} {from}->{to} {msg:?}"));
+                    return;
+                }
+                TransmitOutcome::Delivered(d) => vec![d],
+                TransmitOutcome::Duplicated(d1, d2) => {
+                    self.stats.duplicated += 1;
+                    vec![d1, d2]
+                }
+            };
+            for d in delays {
+                let key = EventKey::deliver(from, to, link.copies);
+                link.copies += 1;
+                let kind = EventKind::Deliver {
+                    msg: Payload::Own(msg.clone()),
+                };
+                self.events.push(Event {
+                    time: now + d,
+                    key,
+                    kind,
+                });
+            }
+        }
+    }
+
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Differential check of the one executor against the naive
+    /// reference on random actor programs over random geometries with
+    /// drop/duplicate/delay faults: inline and 2-worker runs must match
+    /// its final actor states, counters, transcript entries and digest.
+    #[test]
+    fn executor_matches_naive_reference_on_random_programs() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(16..36);
+            let points: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0)))
+                .collect();
+            let min = rng.gen_range(1..=2);
+            let faults = FaultConfig {
+                drop_prob: rng.gen_range(0.0..0.3),
+                duplicate_prob: rng.gen_range(0.0..0.2),
+                delay: DelayDist::Uniform { min, max: min + 3 },
+            };
+            let nodes: Vec<Script> = (0..n)
+                .map(|id| Script {
+                    id,
+                    n,
+                    state: seed ^ (u64::from(id) << 32),
+                    budget: rng.gen_range(6..16),
+                    heard: Vec::new(),
+                })
+                .collect();
+            let reference = Reference::run(nodes.clone(), &points, 1.0, faults, seed);
+            let s = &reference.stats;
+            assert!(s.delivered > 100 && s.dropped > 0 && s.non_neighbor_sends > 0);
+            for threads in [1, 2] {
+                let mut rt = Runtime::new(nodes.clone(), &points, 1.0, faults, seed);
+                rt.record_trace(true);
+                rt.start();
+                rt.run_sharded(threads);
+                let at = format!("seed {seed}, {threads} thread(s)");
+                assert_eq!(rt.nodes(), &reference.nodes[..], "actor state at {at}");
+                assert_eq!(rt.stats(), &reference.stats, "stats at {at}");
+                assert_eq!(
+                    rt.transcript().entries().unwrap(),
+                    &reference.entries[..],
+                    "transcript at {at}"
+                );
+                assert_eq!(
+                    rt.transcript().digest(),
+                    reference.trace.digest(),
+                    "digest at {at}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn partition_keeps_cells_together_and_bounds_shards() {
         let pts = grid_points(4);
-        let (shard_of, shards) = partition(&pts, 1.0, 3);
+        let (part, shards) = Partition::spatial(&pts, 1.0, 3);
+        let shard_of = &part.shard_of;
         assert!(shards <= 3);
         assert_eq!(shard_of.len(), pts.len());
         // Nodes in the same cell share a shard.

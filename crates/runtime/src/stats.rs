@@ -1,4 +1,11 @@
 //! Runtime instrumentation: message counters and the replay transcript.
+//!
+//! Every executor core counts its own events in a [`NetStats`] and notes
+//! its records in per-node window sub-digests (`WindowNotes`). At each
+//! window boundary the coordinator folds the window into the
+//! [`Transcript`] in node-id order (`Folds`) — the same routine whether
+//! one inline core or `k` worker cores produced the window — and worker
+//! cores' counters are summed back when a sharded run ends.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -86,10 +93,10 @@ impl NetStats {
         self.per_kind.entry(k).or_default()
     }
 
-    /// Fold another stats block into this one (sharded execution merges
-    /// per-shard counters at the end of a run). `max_queue_depth` is
-    /// deliberately *not* merged: it is sampled globally at epoch folds
-    /// by whichever executor is driving.
+    /// Fold another stats block into this one (a sharded run merges its
+    /// worker cores' counters at the end). `max_queue_depth` is
+    /// deliberately *not* merged: the coordinator samples it globally at
+    /// window folds.
     pub(crate) fn absorb(&mut self, other: &NetStats) {
         self.sent += other.sent;
         self.delivered += other.delivered;
@@ -129,8 +136,8 @@ impl NetStats {
 /// lookahead window, and at each window boundary the dirty `(node,
 /// sub-digest)` pairs are folded into the global digest in node-id
 /// order. A node's events happen in a deterministic local order no
-/// matter how execution is laid out, so the sequential executor and the
-/// sharded executor (any thread count) produce bit-identical digests.
+/// matter how execution is laid out, so one inline core and any number
+/// of worker cores produce bit-identical digests.
 #[derive(Debug, Clone)]
 pub struct Transcript {
     digest: u64,
@@ -175,11 +182,6 @@ impl Transcript {
         }
     }
 
-    /// Whether full-entry recording is on.
-    pub(crate) fn recording(&self) -> bool {
-        self.entries.is_some()
-    }
-
     /// Fold one node's window sub-digest into the global digest. Callers
     /// must fold in node-id order within a window — that canonical order
     /// is what makes the digest independent of execution layout.
@@ -210,53 +212,58 @@ impl Transcript {
     }
 }
 
-/// Per-node event-record accumulator for one lookahead window.
+/// Per-node event-record accumulator of one executor core for one
+/// lookahead window.
 ///
-/// Every deliver/drop/timer record is streamed (allocation-free, via
-/// [`FnvSink`]) into the sub-digest of the node it belongs to — the
-/// receiver for deliveries, the sender for drops, the owner for timers.
-/// All of a node's records are produced while processing that node's own
-/// events, which occur in a canonical order regardless of how execution
-/// is sharded; folding the dirty sub-digests in node-id order at each
-/// window boundary therefore yields a layout-invariant global digest.
-/// Rendered `(node, record)` pairs shipped from shard workers when the
-/// transcript is recording.
-pub(crate) type NodeLogs = Vec<(u32, String)>;
-
+/// Every deliver/drop/timer/churn record is streamed (allocation-free,
+/// via [`FnvSink`]) into the sub-digest of the node it belongs to — the
+/// receiver for deliveries, the sender for drops, the owner for timers
+/// and perturbations. Nodes are addressed by their *slot* in the core's
+/// dense node vector; slots ascend with node ids, so slot order is
+/// node-id order. All of a node's records are produced while processing
+/// that node's own events, which occur in a canonical order however
+/// execution is sharded; folding the dirty sub-digests in node-id order
+/// at each window boundary ([`Folds::fold_into`]) therefore yields a
+/// layout-invariant global digest.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowNotes {
-    /// Sub-digest per node; `FNV_OFFSET` when clean this window.
+    /// Sub-digest per slot; `FNV_OFFSET` when clean this window.
     subs: Vec<u64>,
-    /// Nodes touched this window (possibly with duplicates; deduped at
+    /// Slots touched this window (possibly with duplicates; deduped at
     /// drain). Capacity is retained across windows, so steady-state
-    /// noting and folding never allocate.
+    /// noting and draining never allocate.
     dirty: Vec<u32>,
-    /// Rendered records `(node, entry)` in emission order, kept only when
+    /// Rendered records `(slot, entry)` in emission order, kept only when
     /// full-entry recording is on.
     logs: Option<Vec<(u32, String)>>,
 }
 
 impl WindowNotes {
-    pub(crate) fn new(n: usize, record: bool) -> Self {
+    pub(crate) fn new(slots: usize, record: bool) -> Self {
         WindowNotes {
-            subs: vec![FNV_OFFSET; n],
+            subs: vec![FNV_OFFSET; slots],
             dirty: Vec::new(),
             logs: if record { Some(Vec::new()) } else { None },
         }
     }
 
-    /// Stream one event record into `node`'s sub-digest for the current
+    /// Whether rendered records are kept.
+    pub(crate) fn recording(&self) -> bool {
+        self.logs.is_some()
+    }
+
+    /// Stream one event record into `slot`'s sub-digest for the current
     /// window. The record is only materialized as a `String` when
     /// recording is on — the hot path never allocates here.
-    pub(crate) fn note(&mut self, node: u32, args: fmt::Arguments<'_>) {
-        let sub = &mut self.subs[node as usize];
+    pub(crate) fn note(&mut self, slot: usize, args: fmt::Arguments<'_>) {
+        let sub = &mut self.subs[slot];
         if *sub == FNV_OFFSET {
-            self.dirty.push(node);
+            self.dirty.push(slot as u32);
         }
         if let Some(log) = &mut self.logs {
             let entry = args.to_string();
             FnvSink(sub).write_str(&entry).unwrap();
-            log.push((node, entry));
+            log.push((slot as u32, entry));
         } else {
             // Formatting into the sink cannot fail: FnvSink never errors.
             FnvSink(sub).write_fmt(args).unwrap();
@@ -266,52 +273,60 @@ impl WindowNotes {
         *sub = sub.wrapping_mul(FNV_PRIME);
     }
 
-    /// End the current window: fold dirty sub-digests into `t` in node-id
-    /// order (and flush rendered records grouped by node), then reset for
-    /// the next window. Allocation-free when not recording.
-    pub(crate) fn fold_into(&mut self, t: &mut Transcript) {
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        for &node in &self.dirty {
-            t.fold_node(node, self.subs[node as usize]);
-            self.subs[node as usize] = FNV_OFFSET;
+    /// End the current window: move the dirty `(node, sub-digest)` pairs
+    /// and rendered records into `out`, mapping slots to node ids through
+    /// `ids`, and reset for the next window. A slot listed twice yields
+    /// two identical pairs, which [`Folds::fold_into`] dedups.
+    pub(crate) fn drain_into(&mut self, ids: &[u32], out: &mut Folds) {
+        let subs = &self.subs;
+        let pairs = self
+            .dirty
+            .iter()
+            .map(|&s| (ids[s as usize], subs[s as usize]));
+        out.subs.extend(pairs);
+        for slot in self.dirty.drain(..) {
+            self.subs[slot as usize] = FNV_OFFSET;
         }
-        self.dirty.clear();
         if let Some(log) = &mut self.logs {
-            // Stable by node; per-node emission order preserved.
-            log.sort_by_key(|&(node, _)| node);
-            for (_, entry) in log.drain(..) {
-                t.push_entry(entry);
-            }
+            out.logs.extend(
+                log.drain(..)
+                    .map(|(slot, entry)| (ids[slot as usize], entry)),
+            );
         }
     }
+}
 
-    /// End the current window without a transcript at hand: return the
-    /// dirty `(node, sub-digest)` pairs sorted by node id, plus rendered
-    /// records when recording. Shard workers use this to ship their
-    /// window folds to the coordinator, which merges all shards' pairs in
-    /// node-id order before folding — reproducing exactly what
-    /// [`Self::fold_into`] does in the sequential executor.
-    pub(crate) fn take_folds(&mut self) -> (Vec<(u32, u64)>, NodeLogs) {
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        let folds = self
-            .dirty
-            .drain(..)
-            .map(|node| {
-                let sub = self.subs[node as usize];
-                self.subs[node as usize] = FNV_OFFSET;
-                (node, sub)
-            })
-            .collect();
-        let logs = match &mut self.logs {
-            Some(log) => {
-                log.sort_by_key(|&(node, _)| node);
-                std::mem::take(log)
-            }
-            None => Vec::new(),
-        };
-        (folds, logs)
+/// One window's records from one or more executor cores, waiting to be
+/// folded into the transcript. Node sets are disjoint across cores, so
+/// sorting by node id reproduces the one-core fold exactly. A reused
+/// buffer keeps the one-core path allocation-free.
+#[derive(Debug, Default)]
+pub(crate) struct Folds {
+    subs: Vec<(u32, u64)>,
+    logs: Vec<(u32, String)>,
+}
+
+impl Folds {
+    /// Add another core's window to this one.
+    pub(crate) fn append(&mut self, mut other: Folds) {
+        self.subs.append(&mut other.subs);
+        self.logs.append(&mut other.logs);
+    }
+
+    /// Fold the window into `t` in node-id order (rendered records
+    /// grouped by node, emission order within a node) and empty the
+    /// buffer, keeping its capacity.
+    pub(crate) fn fold_into(&mut self, t: &mut Transcript) {
+        self.subs.sort_unstable();
+        self.subs.dedup();
+        for &(node, sub) in &self.subs {
+            t.fold_node(node, sub);
+        }
+        self.subs.clear();
+        self.logs.sort_by_key(|&(node, _)| node);
+        for (_, entry) in self.logs.drain(..) {
+            t.push_entry(entry);
+        }
     }
 }
 
@@ -319,13 +334,23 @@ impl WindowNotes {
 mod tests {
     use super::*;
 
+    /// Node ids of a one-core layout: slot `i` is node `i`.
+    const IDS: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    /// Close one one-core window into `t`.
+    fn fold(w: &mut WindowNotes, t: &mut Transcript) {
+        let mut out = Folds::default();
+        w.drain_into(&IDS, &mut out);
+        out.fold_into(t);
+    }
+
     fn digest_of(notes: &[(u32, &str)], record: bool) -> (u64, Option<Vec<String>>) {
         let mut t = Transcript::new(record);
         let mut w = WindowNotes::new(8, record);
         for &(node, s) in notes {
-            w.note(node, format_args!("{s}"));
+            w.note(node as usize, format_args!("{s}"));
         }
-        w.fold_into(&mut t);
+        fold(&mut w, &mut t);
         (t.digest(), t.entries().map(|e| e.to_vec()))
     }
 
@@ -354,13 +379,13 @@ mod tests {
         let mut w = WindowNotes::new(2, false);
         w.note(0, format_args!("x"));
         w.note(0, format_args!("y"));
-        w.fold_into(&mut t1);
+        fold(&mut w, &mut t1);
         let mut t2 = Transcript::new(false);
         let mut w = WindowNotes::new(2, false);
         w.note(0, format_args!("x"));
-        w.fold_into(&mut t2);
+        fold(&mut w, &mut t2);
         w.note(0, format_args!("y"));
-        w.fold_into(&mut t2);
+        fold(&mut w, &mut t2);
         assert_ne!(t1.digest(), t2.digest());
     }
 
@@ -382,24 +407,28 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// `take_folds` (shard worker path) must reproduce `fold_into`
-    /// (sequential path) exactly when the pairs are folded in node order.
+    /// Two cores holding disjoint node sets (slots mapped through their
+    /// own id lists) fold to exactly what one core holding every node
+    /// folds, rendered records included.
     #[test]
-    fn worker_folds_match_sequential_folds() {
-        let notes = [(3, "a"), (1, "b"), (3, "c"), (0, "d")];
-        let (seq, _) = digest_of(&notes, false);
-        let mut t = Transcript::new(false);
-        let mut w = WindowNotes::new(8, false);
+    fn split_cores_fold_like_one_core() {
+        let notes = [(3, "a"), (1, "b"), (3, "c"), (0, "d"), (6, "e")];
+        let (one, one_entries) = digest_of(&notes, true);
+        let ids = [[0u32, 3, 6], [1, 4, 7]];
+        let mut cores = [WindowNotes::new(3, true), WindowNotes::new(3, true)];
         for &(node, s) in &notes {
-            w.note(node, format_args!("{s}"));
+            let core = (node % 3 != 0) as usize;
+            let slot = ids[core].iter().position(|&id| id == node).unwrap();
+            cores[core].note(slot, format_args!("{s}"));
         }
-        let (folds, logs) = w.take_folds();
-        assert!(logs.is_empty());
-        assert_eq!(folds.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [0, 1, 3]);
-        for (node, sub) in folds {
-            t.fold_node(node, sub);
-        }
-        assert_eq!(t.digest(), seq);
+        let mut t = Transcript::new(true);
+        let mut out = Folds::default();
+        // The second core reports first: the merge must not care.
+        cores[1].drain_into(&ids[1], &mut out);
+        cores[0].drain_into(&ids[0], &mut out);
+        out.fold_into(&mut t);
+        assert_eq!(t.digest(), one);
+        assert_eq!(t.entries().map(|e| e.to_vec()), one_entries);
     }
 
     /// The streaming sink and the render-then-fold path must agree byte
@@ -411,17 +440,17 @@ mod tests {
         for i in 0..50u32 {
             let node = i % 4;
             streamed.note(
-                node,
+                node as usize,
                 format_args!("D t={} {}->{} Msg({:?})", i, i + 1, i + 2, (i, "x")),
             );
             rendered.note(
-                node,
+                node as usize,
                 format_args!("D t={} {}->{} Msg({:?})", i, i + 1, i + 2, (i, "x")),
             );
         }
         let (mut a, mut b) = (Transcript::new(false), Transcript::new(true));
-        streamed.fold_into(&mut a);
-        rendered.fold_into(&mut b);
+        fold(&mut streamed, &mut a);
+        fold(&mut rendered, &mut b);
         assert_eq!(a.digest(), b.digest());
     }
 }

@@ -557,11 +557,7 @@ pub fn run_theta_protocol_sharded(
         .collect();
     let mut rt = Runtime::new(nodes, points, range, faults, seed);
     rt.start();
-    let finished_at = if threads > 1 {
-        rt.run_sharded(threads)
-    } else {
-        rt.run()
-    };
+    let finished_at = rt.run_sharded(threads);
 
     let mut builder = GraphBuilder::new(points.len());
     let mut admitted_total = 0u64;
@@ -650,11 +646,7 @@ pub fn run_theta_churn(
     let mut rt = Runtime::new(nodes, points, range, faults, seed);
     rt.set_churn_plan(plan);
     rt.start();
-    let finished_at = if threads > 1 {
-        rt.run_sharded(threads)
-    } else {
-        rt.run()
-    };
+    let finished_at = rt.run_sharded(threads);
 
     let n = points.len();
     let live: Vec<u32> = (0..n as u32)
