@@ -39,8 +39,10 @@ pub struct EventKey {
     /// Sending node for deliveries, 0 for timers.
     pub src: u32,
     /// Per-directed-link copy counter (deliveries) or per-node arm
-    /// counter (timers).
-    pub seq: u64,
+    /// counter (timers), kept to 32 bits so that a queued event of a
+    /// reliability-wrapped protocol fits one 64-byte cache line; no link
+    /// or node reaches 2³² copies or timers in a run.
+    pub seq: u32,
 }
 
 /// [`EventKey::class`] of timer firings (sorts before deliveries).
@@ -55,7 +57,7 @@ impl EventKey {
             node,
             class: CLASS_TIMER,
             src: 0,
-            seq,
+            seq: u32::try_from(seq).expect("a node armed 2^32 timers"),
         }
     }
 
@@ -65,7 +67,7 @@ impl EventKey {
             node: to,
             class: CLASS_DELIVER,
             src: from,
-            seq,
+            seq: u32::try_from(seq).expect("a link carried 2^32 copies"),
         }
     }
 }

@@ -18,10 +18,11 @@
 //!
 //! Two protocols from the paper are ported onto the runtime:
 //!
-//! * [`theta`] — ΘALG's 3-round topology-control protocol, hardened with
-//!   per-round retransmission windows and acks so it reconstructs the
-//!   exact `𝒩` of the direct construction as long as the retransmit
-//!   budget outlasts the loss rate ([`run_theta_protocol`]);
+//! * [`theta`] — ΘALG's topology control as one diff-driven actor: each
+//!   node recomputes its cone choices whenever its one-hop inputs change
+//!   and sends the diffs over the reliable sublayer, so it reconstructs
+//!   the exact `𝒩` of the direct construction as long as its beacon
+//!   bursts outlast the loss rate ([`run_theta_protocol`]);
 //! * [`gossip`] — the `(T,γ)`-balancing router with explicit height
 //!   gossip ([`run_gossip_balancing`]); the `StaleBalancingRouter`
 //!   ablation's refresh period becomes real, droppable control traffic,

@@ -92,6 +92,9 @@ impl ReliableConfig {
 }
 
 /// Envelope carried on the wire by a reliability-wrapped protocol.
+/// Sequence numbers are 32-bit (no link direction carries 2³² messages
+/// in a run), which keeps a wrapped `ThetaMsg` event within one 64-byte
+/// cache line of the event queue.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReliableMsg<M> {
     /// A sequenced payload. `ack` piggybacks the sender's cumulative ack
@@ -99,20 +102,20 @@ pub enum ReliableMsg<M> {
     /// outstanding sequence number so receivers can skip abandoned holes.
     Data {
         /// Per-(link, direction) sequence number.
-        seq: u64,
+        seq: u32,
         /// Piggybacked cumulative ack: every reverse-direction sequence
         /// number `< ack` has been received.
-        ack: u64,
+        ack: u32,
         /// Sender's window base; sequence numbers `< lo` are settled or
         /// abandoned and will never be (re)transmitted.
-        lo: u64,
+        lo: u32,
         /// The wrapped protocol message.
         payload: M,
     },
     /// Standalone cumulative ack (sent when no reverse data is flowing).
     Ack {
         /// Every sequence number `< ack` has been received.
-        ack: u64,
+        ack: u32,
     },
     /// Best-effort passthrough: broadcasts and unicasts the wrapper's
     /// predicate left unprotected.
@@ -145,43 +148,47 @@ pub struct LinkCounters {
     pub gave_up: u64,
 }
 
-/// One in-flight (transmitted, unacked) message.
+/// One message accepted for delivery and not yet settled.
 #[derive(Debug, Clone)]
 struct Flight<M> {
+    seq: u32,
     payload: M,
     retries: u32,
+    /// Retransmit deadline, once transmitted.
     deadline: u64,
 }
 
 /// Sender half of one link direction.
 #[derive(Debug, Clone)]
 struct SendState<M> {
-    next_seq: u64,
-    /// Transmitted and unacknowledged, keyed by sequence number.
-    flights: BTreeMap<u64, Flight<M>>,
-    /// Queued behind a full window, sequence numbers pre-assigned.
-    backlog: VecDeque<(u64, M)>,
+    next_seq: u32,
+    /// Unsettled messages by ascending sequence number: the first `sent`
+    /// are in flight (transmitted, unacknowledged), the rest wait for
+    /// window space. An ack or [`Transport::retain_peers`] that drains it
+    /// releases its buffer, so an idle link costs no heap memory.
+    queue: VecDeque<Flight<M>>,
+    sent: usize,
 }
 
 impl<M> Default for SendState<M> {
     fn default() -> Self {
         SendState {
             next_seq: 0,
-            flights: BTreeMap::new(),
-            backlog: VecDeque::new(),
+            queue: VecDeque::new(),
+            sent: 0,
         }
     }
 }
 
 impl<M> SendState<M> {
     /// Lowest outstanding sequence number (the advertised window base).
-    fn lo(&self) -> u64 {
-        self.flights
-            .keys()
-            .next()
-            .copied()
-            .or_else(|| self.backlog.front().map(|&(s, _)| s))
-            .unwrap_or(self.next_seq)
+    fn lo(&self) -> u32 {
+        self.queue.front().map_or(self.next_seq, |f| f.seq)
+    }
+
+    /// The messages in flight.
+    fn flights(&self) -> impl Iterator<Item = &Flight<M>> {
+        self.queue.range(..self.sent)
     }
 }
 
@@ -189,16 +196,16 @@ impl<M> SendState<M> {
 #[derive(Debug, Clone, Default)]
 struct RecvState {
     /// Cumulative ack value: every sequence number `< expected` settled.
-    expected: u64,
+    expected: u32,
     /// Received out of order, above `expected` (bounded by the sender's
     /// window plus abandoned holes, which `lo` advances past).
-    ooo: BTreeSet<u64>,
+    ooo: BTreeSet<u32>,
     /// An ack is owed since the last flush.
     ack_due: bool,
 }
 
 impl RecvState {
-    fn advance_past_holes(&mut self, lo: u64) {
+    fn advance_past_holes(&mut self, lo: u32) {
         if lo > self.expected {
             self.expected = lo;
             self.ooo = self.ooo.split_off(&lo);
@@ -218,8 +225,6 @@ pub struct Transport<M> {
     cfg: ReliableConfig,
     send: BTreeMap<u32, SendState<M>>,
     recv: BTreeMap<u32, RecvState>,
-    /// `(peer, seq)` pairs due for retransmission at the next flush.
-    pending_retx: Vec<(u32, u64)>,
     /// Fire times of armed (uncancellable) retransmit timers.
     armed: BTreeSet<u64>,
     counters: LinkCounters,
@@ -233,7 +238,6 @@ impl<M: Message> Transport<M> {
             cfg,
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
-            pending_retx: Vec::new(),
             armed: BTreeSet::new(),
             counters: LinkCounters::default(),
         }
@@ -247,33 +251,40 @@ impl<M: Message> Transport<M> {
     /// Messages currently in transport custody (in flight or backlogged),
     /// i.e. accepted from the application but not yet known-delivered.
     pub fn pending_count(&self) -> u64 {
-        self.send
-            .values()
-            .map(|s| (s.flights.len() + s.backlog.len()) as u64)
-            .sum()
+        self.send.values().map(|s| s.queue.len() as u64).sum()
     }
 
     /// Accept one payload for reliable delivery to `to`. Transmitted at
     /// the next [`Transport::flush`], window permitting.
     pub fn queue(&mut self, to: u32, payload: M) {
         let ss = self.send.entry(to).or_default();
-        let seq = ss.next_seq;
+        ss.queue.push_back(Flight {
+            seq: ss.next_seq,
+            payload,
+            retries: 0,
+            deadline: 0,
+        });
         ss.next_seq += 1;
-        ss.backlog.push_back((seq, payload));
     }
 
     /// Process a cumulative ack from `peer` (standalone or piggybacked):
     /// settle every flight with sequence number below `ack`.
-    pub fn on_ack(&mut self, peer: u32, ack: u64) {
+    pub fn on_ack(&mut self, peer: u32, ack: u32) {
         if let Some(ss) = self.send.get_mut(&peer) {
-            ss.flights = ss.flights.split_off(&ack);
+            while ss.sent > 0 && ss.queue[0].seq < ack {
+                ss.queue.pop_front();
+                ss.sent -= 1;
+            }
+            if ss.queue.is_empty() {
+                ss.queue = VecDeque::new();
+            }
         }
     }
 
     /// Process an incoming data envelope from `peer`. Returns the payload
     /// exactly once per sequence number; duplicates yield `None` (but
     /// still owe the peer an ack, so lost acks get repaired).
-    pub fn on_data(&mut self, peer: u32, seq: u64, lo: u64, payload: M) -> Option<M> {
+    pub fn on_data(&mut self, peer: u32, seq: u32, lo: u32, payload: M) -> Option<M> {
         let rs = self.recv.entry(peer).or_default();
         rs.ack_due = true;
         rs.advance_past_holes(lo);
@@ -291,109 +302,92 @@ impl<M: Message> Transport<M> {
         Some(payload)
     }
 
-    /// Handle a [`RELIABLE_TIMER`] firing at virtual time `now`: mark
-    /// every overdue flight for retransmission (or abandon it once the
-    /// retry budget is spent), backing its deadline off exponentially.
-    pub fn on_timer(&mut self, now: u64) {
+    /// Handle a [`RELIABLE_TIMER`] firing: retransmit every overdue
+    /// flight (with a refreshed piggyback ack), or abandon it once the
+    /// retry budget is spent, backing its deadline off exponentially.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<ReliableMsg<M>>) {
+        let now = ctx.now();
         self.counters.rto_fired += 1;
         self.armed.remove(&now);
         for (&peer, ss) in self.send.iter_mut() {
-            let due: Vec<u64> = ss
-                .flights
-                .iter()
-                .filter(|(_, f)| f.deadline <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for seq in due {
-                let f = ss.flights.get_mut(&seq).expect("due flight exists");
-                if f.retries >= self.cfg.max_retries {
-                    ss.flights.remove(&seq);
+            let mut i = 0;
+            while i < ss.sent {
+                let lo = ss.lo();
+                let f = &mut ss.queue[i];
+                if f.deadline > now {
+                    i += 1;
+                } else if f.retries >= self.cfg.max_retries {
+                    ss.queue.remove(i);
+                    ss.sent -= 1;
                     self.counters.gave_up += 1;
                 } else {
                     f.retries += 1;
                     f.deadline = now + self.cfg.backoff(f.retries);
                     self.counters.retransmits += 1;
-                    self.pending_retx.push((peer, seq));
+                    let rs = self.recv.get_mut(&peer);
+                    let msg = ReliableMsg::Data {
+                        seq: f.seq,
+                        ack: rs.as_ref().map_or(0, |r| r.expected),
+                        lo,
+                        payload: f.payload.clone(),
+                    };
+                    ctx.send(peer, msg);
+                    if let Some(rs) = rs {
+                        rs.ack_due = false;
+                    }
+                    i += 1;
                 }
             }
         }
     }
 
-    /// Drop all link state toward peers *not* in `peers` (sorted): a
+    /// Abandon all custody toward peers *not* in `peers` (sorted): a
     /// departed node will never ack, so its in-flight and backlogged
-    /// custody is abandoned (counted in [`LinkCounters::gave_up`]) instead
-    /// of burning the whole retry budget against a dead link. Already
-    /// armed retransmit timers stay armed — they are uncancellable — and
-    /// fire as no-ops when no flights remain.
+    /// messages are given up (counted in [`LinkCounters::gave_up`])
+    /// instead of burning the whole retry budget against a dead link.
+    /// Already armed retransmit timers stay armed — they are
+    /// uncancellable — and fire as no-ops when no flights remain.
     pub fn retain_peers(&mut self, peers: &[u32]) {
         debug_assert!(peers.is_sorted());
-        self.send.retain(|peer, ss| {
-            if peers.binary_search(peer).is_ok() {
-                return true;
+        for (peer, ss) in self.send.iter_mut() {
+            if peers.binary_search(peer).is_err() {
+                self.counters.gave_up += ss.queue.len() as u64;
+                ss.queue = VecDeque::new();
+                ss.sent = 0;
             }
-            self.counters.gave_up += (ss.flights.len() + ss.backlog.len()) as u64;
-            false
-        });
-        // Receive-side state is deliberately kept: a retransmitted copy of
-        // an already-delivered segment can still be in flight when the
-        // peer vanishes, and dropping the recv window would hand it to the
-        // actor a second time (exactly-once broken). Eroded routing never
-        // re-adds the link, so stale windows stay inert, O(1) each.
-        self.pending_retx
-            .retain(|(peer, _)| peers.binary_search(peer).is_ok());
+        }
+        // Both sequence counters are deliberately kept. The receiver's
+        // window keeps a retransmitted copy of an already-delivered
+        // segment, still in flight when the peer vanished, from reaching
+        // the actor a second time; the sender's counter keeps numbering
+        // past the abandoned segments if the link comes back, so the
+        // receiver does not discard new messages as duplicates and its
+        // window skips the hole on the first new `lo`.
     }
 
-    /// Emit everything owed to the wire: retransmissions, fresh data up
-    /// to the window, standalone acks for peers with no reverse data, and
-    /// the retransmit timer for the earliest outstanding deadline.
+    /// Emit everything owed to the wire: fresh data up to the window,
+    /// standalone acks for peers with no reverse data, and the retransmit
+    /// timer for the earliest outstanding deadline.
     pub fn flush(&mut self, ctx: &mut Ctx<ReliableMsg<M>>) {
         let now = ctx.now();
-        // Retransmissions (with refreshed piggyback acks).
-        for (peer, seq) in std::mem::take(&mut self.pending_retx) {
-            let Some(ss) = self.send.get(&peer) else {
-                continue;
-            };
-            if let Some(f) = ss.flights.get(&seq) {
+        // Transmit waiting messages as the window allows.
+        for (&peer, ss) in self.send.iter_mut() {
+            let mut sent_any = false;
+            while ss.sent < self.cfg.window && ss.sent < ss.queue.len() {
                 let ack = self.recv.get(&peer).map_or(0, |r| r.expected);
+                let lo = ss.lo();
+                let f = &mut ss.queue[ss.sent];
                 ctx.send(
                     peer,
                     ReliableMsg::Data {
-                        seq,
+                        seq: f.seq,
                         ack,
-                        lo: ss.lo(),
+                        lo,
                         payload: f.payload.clone(),
                     },
                 );
-                if let Some(rs) = self.recv.get_mut(&peer) {
-                    rs.ack_due = false;
-                }
-            }
-        }
-        // Slide backlog into freed window space and transmit.
-        for (&peer, ss) in self.send.iter_mut() {
-            let mut sent_any = false;
-            while ss.flights.len() < self.cfg.window {
-                let Some((seq, payload)) = ss.backlog.pop_front() else {
-                    break;
-                };
-                let ack = self.recv.get(&peer).map_or(0, |r| r.expected);
-                ctx.send(
-                    peer,
-                    ReliableMsg::Data {
-                        seq,
-                        ack,
-                        lo: ss.flights.keys().next().copied().unwrap_or(seq),
-                        payload: payload.clone(),
-                    },
-                );
-                ss.flights.insert(
-                    seq,
-                    Flight {
-                        payload,
-                        retries: 0,
-                        deadline: now + self.cfg.rto,
-                    },
-                );
+                f.deadline = now + self.cfg.rto;
+                ss.sent += 1;
                 sent_any = true;
             }
             if sent_any {
@@ -415,7 +409,7 @@ impl<M: Message> Transport<M> {
         let earliest = self
             .send
             .values()
-            .flat_map(|s| s.flights.values().map(|f| f.deadline))
+            .flat_map(|s| s.flights().map(|f| f.deadline))
             .min();
         if let Some(e) = earliest {
             if self.armed.first().is_none_or(|&a| a > e) {
@@ -433,7 +427,9 @@ impl<M: Message> Transport<M> {
 /// [`RELIABLE_TIMER`]; all other timers pass through untouched.
 pub struct ReliableActor<A: Actor, F> {
     inner: A,
-    transport: Transport<A::Msg>,
+    /// Kept out of line: best-effort traffic never touches it, and a
+    /// smaller actor keeps more nodes in cache.
+    transport: Box<Transport<A::Msg>>,
     select: F,
 }
 
@@ -447,7 +443,7 @@ where
     pub fn new(inner: A, cfg: ReliableConfig, select: F) -> Self {
         ReliableActor {
             inner,
-            transport: Transport::new(cfg),
+            transport: Box::new(Transport::new(cfg)),
             select,
         }
     }
@@ -455,6 +451,11 @@ where
     /// The wrapped protocol actor.
     pub fn inner(&self) -> &A {
         &self.inner
+    }
+
+    /// The wrapped protocol actor, mutably (for set-up before a run).
+    pub(crate) fn inner_mut(&mut self) -> &mut A {
+        &mut self.inner
     }
 
     /// The transport's counters.
@@ -469,12 +470,13 @@ where
 
     /// Run one inner-actor callback and route its effects: selected
     /// unicasts into the transport, the rest (and all broadcasts) to the
-    /// wire as raw envelopes, timers passed through.
+    /// wire as raw envelopes, timers passed through. Returns whether the
+    /// transport took a message.
     fn deliver(
         &mut self,
         ctx: &mut Ctx<ReliableMsg<A::Msg>>,
         f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
-    ) {
+    ) -> bool {
         let mut ic = Ctx::new(ctx.id(), ctx.now());
         f(&mut self.inner, &mut ic);
         let Ctx {
@@ -483,9 +485,11 @@ where
             timers,
             ..
         } = ic;
+        let mut queued = false;
         for (to, m) in sends {
             if (self.select)(&m) {
                 self.transport.queue(to, m);
+                queued = true;
             } else {
                 ctx.send(to, ReliableMsg::Raw(m));
             }
@@ -500,6 +504,7 @@ where
             );
             ctx.set_timer(at.saturating_sub(ctx.now()), id);
         }
+        queued
     }
 }
 
@@ -528,8 +533,12 @@ where
         self.transport.flush(ctx);
     }
 
+    // A flush owes the wire nothing after a callback that handed the
+    // transport no message, ack or timer, so those skip it: the common
+    // case of a best-effort delivery costs no look at the transport.
+
     fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: u32, msg: Self::Msg) {
-        match msg {
+        let owed = match msg {
             ReliableMsg::Raw(m) => self.deliver(ctx, |a, ic| a.on_message(ic, from, m)),
             ReliableMsg::Data {
                 seq,
@@ -541,19 +550,28 @@ where
                 if let Some(m) = self.transport.on_data(from, seq, lo, payload) {
                     self.deliver(ctx, |a, ic| a.on_message(ic, from, m));
                 }
+                true
             }
-            ReliableMsg::Ack { ack } => self.transport.on_ack(from, ack),
+            ReliableMsg::Ack { ack } => {
+                self.transport.on_ack(from, ack);
+                true
+            }
+        };
+        if owed {
+            self.transport.flush(ctx);
         }
-        self.transport.flush(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Self::Msg>, timer: u32) {
-        if timer == RELIABLE_TIMER {
-            self.transport.on_timer(ctx.now());
+        let owed = if timer == RELIABLE_TIMER {
+            self.transport.on_timer(ctx);
+            true
         } else {
-            self.deliver(ctx, |a, ic| a.on_timer(ic, timer));
+            self.deliver(ctx, |a, ic| a.on_timer(ic, timer))
+        };
+        if owed {
+            self.transport.flush(ctx);
         }
-        self.transport.flush(ctx);
     }
 
     fn on_neighborhood_change(
@@ -801,6 +819,36 @@ mod tests {
         t.retain_peers(&[2]);
         assert_eq!(t.pending_count(), 1, "peer 2's flight survives");
         assert_eq!(t.counters().gave_up, 3, "peer 1: 2 flights + 1 backlog");
+    }
+
+    #[test]
+    fn link_that_vanishes_and_returns_keeps_delivering() {
+        // Drift away and back: both ends drop the link, then the sender
+        // queues more. The new message must not reuse an old sequence
+        // number, or the receiver's kept window discards it.
+        let mut a: Transport<Num> = Transport::new(ReliableConfig::default());
+        let mut b: Transport<Num> = Transport::new(ReliableConfig::default());
+        let mut got = Vec::new();
+        let mut exchange = |a: &mut Transport<Num>, b: &mut Transport<Num>| {
+            let mut ctx = Ctx::new(0, 0);
+            a.flush(&mut ctx);
+            for (_, m) in ctx.sends {
+                if let ReliableMsg::Data {
+                    seq, lo, payload, ..
+                } = m
+                {
+                    got.extend(b.on_data(0, seq, lo, payload).map(|n| n.0));
+                }
+            }
+        };
+        a.queue(1, Num(1));
+        a.queue(1, Num(2));
+        exchange(&mut a, &mut b);
+        a.retain_peers(&[]);
+        b.retain_peers(&[]);
+        a.queue(1, Num(3));
+        exchange(&mut a, &mut b);
+        assert_eq!(got, [1, 2, 3]);
     }
 
     #[test]

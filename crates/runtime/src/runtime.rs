@@ -168,6 +168,12 @@ impl<A: Actor> Runtime<A> {
         &self.core.nodes
     }
 
+    /// All node actors, mutably (for set-up from the installed topology
+    /// before [`Self::start`]).
+    pub(crate) fn nodes_mut(&mut self) -> &mut [A] {
+        &mut self.core.nodes
+    }
+
     /// The radio neighbors of `id` (sorted).
     pub fn radio_neighbors(&self, id: u32) -> &[u32] {
         &self.core.topo.rows[id as usize]

@@ -1,45 +1,42 @@
-//! ΘALG as a fault-tolerant actor protocol (paper §2.1, hardened).
+//! ΘALG as a fault-tolerant actor protocol (paper §2.1).
 //!
-//! The direct 3-round formulation (`adhoc_core::protocol`) assumes every
-//! broadcast is heard. Here each round is a *time window* of `round_len`
-//! ticks and the protocol survives lossy links by retransmission:
+//! The direct formulation (`adhoc_core::protocol`) runs three lockstep
+//! rounds and assumes every broadcast is heard. Both of ΘALG's rules are
+//! pure functions of one-hop inputs — `N(u)` is the nearest heard neighbor
+//! per sector, the admitted set (this node's edges of `𝒩`) the nearest
+//! offer per sector — so here each node recomputes them whenever its
+//! heard positions, received offers or radio row change, at most once per
+//! tick, and sends only the diffs: `Neighborhood`/`Retract` when `N(u)`
+//! gains or loses a member, `Connection`/`Disconnect` when the admitted
+//! set does. The diffs ride the reliable sublayer ([`ReliableActor`]),
+//! which delivers exactly once but unordered; the on and off diffs of one
+//! kind from one sender strictly alternate, so a receiver keeps a
+//! per-sender balance and counts an offer present iff it is positive.
 //!
-//! * **Round 1** `[0, L)` — every node rebroadcasts its `Position` every
-//!   `resend_every` ticks (unacknowledged flooding; receivers dedup).
-//! * **Round 2** `[L, 2L)` — each node computes `N(u)` from the positions
-//!   it heard and sends `Neighborhood` to each chosen neighbor,
-//!   retransmitting until the matching `NbrAck` arrives or the window
-//!   closes.
-//! * **Round 3** `[2L, 3L)` — each node admits the nearest offer per
-//!   sector and sends `Connection` (ack/retransmit again); the admitted
-//!   sets are exactly the edges of `𝒩`.
+//! `Position` beacons are best-effort broadcasts: one at start and at every
+//! neighborhood change, then one every `resend_every` ticks until
+//! `round_len` has passed. A neighbor misses a whole burst with probability
+//! `p^(round_len / resend_every)` at loss rate `p`, so for any fixed seed
+//! and moderate `p` the reconstructed topology equals the direct
+//! `ThetaAlg::build` graph exactly (tests and experiment E20).
 //!
-//! With loss rate `p` and `k = round_len / resend_every` transmissions
-//! per message, a message misses its window with probability `pᵏ` — so
-//! for any fixed seed and moderate `p`, the reconstructed topology equals
-//! the direct `ThetaAlg::build` graph exactly; the test suite and
-//! experiment E20 assert this across loss rates.
+//! # Churn
 //!
-//! # Re-convergence under churn
-//!
-//! ΘALG is *local*: each node's cone construction reads only one-hop
-//! information, so when the neighborhood changes
-//! ([`Actor::on_neighborhood_change`]) the node re-runs the two-phase
-//! construction in a fresh **epoch** — state is retained for surviving
-//! neighbors (their positions and offers are still valid), the beacon /
-//! offer / admit rounds replay on a new `round_base`, and timers carry
-//! their epoch in the id so a stale round boundary can't fire into the
-//! new epoch. Two repair paths keep *settled* bystanders exact without
-//! restarting them: a node whose re-run drops a previously offered edge
-//! sends [`ThetaMsg::Retract`] (the receiver re-admits without it), and
-//! an offer arriving after a receiver settled triggers the same
-//! re-admission. [`run_theta_churn`] drives a [`ChurnPlan`] through the
-//! runtime and measures topology-repair latency — perturbation to the
-//! last admitted-set change — against the direct offline construction on
-//! the final live positions (experiment E21).
+//! Initial construction and churn repair are one code path: a
+//! neighborhood change ([`Actor::on_neighborhood_change`]) replaces the
+//! row, forgets what was learned from peers outside it, starts a beacon
+//! burst and recomputes. A message from a sender outside the current row
+//! never enters a node's state. A peer that left the row and came back is
+//! ignored until `round_len / 2` after it left, when copies it sent before
+//! leaving have landed (the fault model's maximum delay is validated below
+//! that); both ends saw the link break at the same time, so neither sends
+//! the other anything the other would ignore. [`run_theta_churn`] scores a
+//! [`ChurnPlan`] run against the direct offline construction on the final
+//! live positions (experiment E21).
 
 use crate::fault::FaultConfig;
 use crate::node::{Actor, Ctx, Message};
+use crate::reliable::{ReliableActor, ReliableConfig};
 use crate::runtime::Runtime;
 use crate::stats::NetStats;
 use crate::{ChurnPlan, MemberState};
@@ -47,34 +44,26 @@ use adhoc_geom::{Point, SectorPartition};
 use adhoc_graph::GraphBuilder;
 use adhoc_proximity::SpatialGraph;
 
-/// Timer-id bases used by [`ThetaNode`]; the full id is
-/// `epoch * 4 + base`, so a timer armed before a neighborhood change can
-/// never fire into the node's next epoch (base 0 is never armed).
-const TIMER_RESEND: u32 = 1;
-const TIMER_ROUND2: u32 = 2;
-const TIMER_ROUND3: u32 = 3;
+/// Timer ids used by [`ThetaNode`].
+const TIMER_BEACON: u32 = 1;
+const TIMER_SYNC: u32 = 2;
 
-/// Message alphabet of the hardened ΘALG protocol.
+/// Message alphabet of the ΘALG protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ThetaMsg {
-    /// Round-1 position beacon.
+    /// Position beacon (best-effort broadcast).
     Position {
         /// The sender's coordinates.
         pos: Point,
     },
-    /// Round-2 neighborhood offer: "you are in my `N(u)`".
+    /// Offer: "you joined my `N(u)`".
     Neighborhood,
-    /// Acknowledges a [`ThetaMsg::Neighborhood`].
-    NbrAck,
-    /// Round-3 edge admission: "I admitted your offer".
-    Connection,
-    /// Acknowledges a [`ThetaMsg::Connection`].
-    ConnAck,
-    /// Withdraws an earlier [`ThetaMsg::Neighborhood`]: a re-convergence
-    /// epoch recomputed `N(u)` and the receiver is no longer in it.
+    /// Withdraws a [`ThetaMsg::Neighborhood`]: "you left my `N(u)`".
     Retract,
-    /// Acknowledges a [`ThetaMsg::Retract`].
-    RetractAck,
+    /// Edge admission: "I admitted your offer".
+    Connection,
+    /// Withdraws a [`ThetaMsg::Connection`]: "I no longer admit it".
+    Disconnect,
 }
 
 impl Message for ThetaMsg {
@@ -82,37 +71,24 @@ impl Message for ThetaMsg {
         match self {
             ThetaMsg::Position { .. } => "position",
             ThetaMsg::Neighborhood => "neighborhood",
-            ThetaMsg::NbrAck => "nbr-ack",
-            ThetaMsg::Connection => "connection",
-            ThetaMsg::ConnAck => "conn-ack",
             ThetaMsg::Retract => "retract",
-            ThetaMsg::RetractAck => "retract-ack",
+            ThetaMsg::Connection => "connection",
+            ThetaMsg::Disconnect => "disconnect",
         }
     }
 }
 
-/// Protocol phase of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Broadcasting / collecting positions.
-    Positions,
-    /// Exchanging neighborhood offers.
-    Offers,
-    /// Exchanging connections.
-    Connections,
-}
-
-/// Timing parameters of the hardened protocol.
+/// Timing parameters of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThetaTiming {
-    /// Ticks per round window (`L`).
+    /// Length of a beacon burst in ticks (`L`).
     pub round_len: u64,
-    /// Retransmission period within a window.
+    /// Beacon period within a burst.
     pub resend_every: u64,
 }
 
 impl Default for ThetaTiming {
-    /// 64-tick rounds, retransmit every 4 ticks (16 tries per message).
+    /// 64-tick bursts, a beacon every 4 ticks (16 beacons per burst).
     fn default() -> Self {
         ThetaTiming {
             round_len: 64,
@@ -122,7 +98,7 @@ impl Default for ThetaTiming {
 }
 
 impl ThetaTiming {
-    /// Retransmission attempts available per message per round.
+    /// Beacons per burst.
     pub fn budget(&self) -> u64 {
         self.round_len / self.resend_every.max(1)
     }
@@ -135,8 +111,8 @@ impl ThetaTiming {
         );
         assert!(
             faults.max_delay() < self.round_len / 2,
-            "max link delay {} too close to round_len {}; late deliveries \
-             would leak across round boundaries",
+            "max link delay {} too close to round_len {}; a copy sent \
+             before a link broke could outlive a returning peer's quiet time",
             faults.max_delay(),
             self.round_len
         );
@@ -150,33 +126,30 @@ pub struct ThetaNode {
     pos: Point,
     sectors: SectorPartition,
     timing: ThetaTiming,
-    phase: Phase,
-    /// Positions heard in round 1 (deduped by sender).
+    /// Current radio row (sorted).
+    row: Vec<u32>,
+    /// `(peer, until)`: a peer that left the row is not heard again before
+    /// `until`, `round_len / 2` after it left.
+    left: Vec<(u32, u64)>,
+    /// Latest position heard from each row member.
     heard: Vec<(u32, Point)>,
-    /// Phase-1 output `N(u)`.
+    /// `Neighborhood` minus `Retract` received, per sender (nonzero only).
+    offers: Vec<(u32, i32)>,
+    /// `Connection` minus `Disconnect` received, per sender (nonzero only).
+    conns: Vec<(u32, i32)>,
+    /// `N(u)` as last announced.
     chosen: Vec<u32>,
-    /// Round-2 inbox: who offered me an edge (deduped).
-    offers: Vec<u32>,
-    /// Phase-2 output: admitted offers = this node's edges of `𝒩`.
+    /// The admitted set as last announced: this node's edges of `𝒩`.
     admitted: Vec<u32>,
-    /// Connections received (the other endpoint's admissions) — edge
-    /// awareness, not part of the graph definition.
-    conn_received: Vec<u32>,
-    unacked_nbr: Vec<u32>,
-    unacked_conn: Vec<u32>,
-    /// Retracted offers awaiting [`ThetaMsg::RetractAck`].
-    unacked_retract: Vec<u32>,
-    /// Re-convergence epoch: bumped by every neighborhood change; timer
-    /// ids are `epoch * 4 + base` so stale timers are silently dropped.
-    epoch: u32,
-    /// Virtual time the current epoch's round 1 began.
-    round_base: u64,
-    /// Virtual time this node last (re)computed its admitted set — the
-    /// per-node settle point that repair latency is measured from.
+    /// An input changed since the last recompute; a sync timer is armed.
+    dirty: bool,
+    /// End of the current beacon burst.
+    beacon_until: u64,
+    /// A beacon timer is armed.
+    beaconing: bool,
+    /// Virtual time the admitted set last changed — the per-node settle
+    /// point that repair latency is measured from.
     settled_at: u64,
-    /// Deadline bounding connection/retract resends in the current epoch
-    /// (extended when a late re-admission sends fresh connections).
-    conn_deadline: u64,
 }
 
 impl ThetaNode {
@@ -186,101 +159,102 @@ impl ThetaNode {
             pos,
             sectors,
             timing,
-            phase: Phase::Positions,
+            row: Vec::new(),
+            left: Vec::new(),
             heard: Vec::new(),
-            chosen: Vec::new(),
             offers: Vec::new(),
+            conns: Vec::new(),
+            chosen: Vec::new(),
             admitted: Vec::new(),
-            conn_received: Vec::new(),
-            unacked_nbr: Vec::new(),
-            unacked_conn: Vec::new(),
-            unacked_retract: Vec::new(),
-            epoch: 0,
-            round_base: 0,
+            dirty: false,
+            beacon_until: 0,
+            beaconing: false,
             settled_at: 0,
-            conn_deadline: 0,
         }
     }
 
-    /// The edges this node admitted (its directed contribution to `𝒩`).
-    pub fn admitted(&self) -> &[u32] {
-        &self.admitted
+    /// Whether a message from `v` at `now` may enter this node's state:
+    /// `v` is in the row and, if it came back, has been quiet long enough.
+    fn hears(&self, v: u32, now: u64) -> bool {
+        let quiet = self.left.iter().any(|&(w, until)| w == v && now < until);
+        self.row.binary_search(&v).is_ok() && !quiet
     }
 
-    /// Connections received from the other endpoints.
-    pub fn connections_received(&self) -> &[u32] {
-        &self.conn_received
-    }
-
-    /// Virtual time this node last (re)computed its admitted set.
-    pub fn settled_at(&self) -> u64 {
-        self.settled_at
-    }
-
-    /// Re-convergence epochs this node went through (0 = never perturbed).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Position of a heard node, if its beacon ever arrived.
-    fn heard_pos(&self, v: u32) -> Option<Point> {
-        self.heard.iter().find(|(u, _)| *u == v).map(|&(_, p)| p)
-    }
-
-    /// Nearest heard node per sector — identical tie-breaking to the
-    /// direct construction (smaller distance², then smaller id).
-    fn nearest_per_sector(&self, candidates: impl Iterator<Item = (u32, Point)>) -> Vec<u32> {
-        nearest_per_sector_at(&self.sectors, self.pos, candidates)
-    }
-
-    /// Timer id for `base` in the current epoch.
-    fn tid(&self, base: u32) -> u32 {
-        self.epoch * 4 + base
-    }
-
-    /// Re-arm the retransmit timer while it still fits inside `deadline`.
-    fn rearm(&self, ctx: &mut Ctx<ThetaMsg>, deadline: u64) {
-        if ctx.now() + self.timing.resend_every < deadline {
-            ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
+    /// Note an input change: recompute at the next tick.
+    fn touch(&mut self, ctx: &mut Ctx<ThetaMsg>) {
+        if !self.dirty {
+            self.dirty = true;
+            ctx.set_timer(1, TIMER_SYNC);
         }
     }
 
-    /// Recompute the admitted set from the current offers, after an offer
-    /// arrived late or was retracted while this node was already settled.
-    /// Newly admitted neighbors get a `Connection` (with a retransmit
-    /// window of their own); an unchanged set is a no-op.
-    fn readmit(&mut self, ctx: &mut Ctx<ThetaMsg>) {
-        let offers = std::mem::take(&mut self.offers);
-        let new_admitted = self.nearest_per_sector(
-            offers
-                .iter()
-                .filter_map(|&v| self.heard_pos(v).map(|p| (v, p))),
+    /// Recompute `N(u)` and the admitted set and send the diffs. An offer
+    /// whose sender's beacon has not arrived yet cannot be placed in a
+    /// sector; it counts once the beacon arrives.
+    fn sync(&mut self, ctx: &mut Ctx<ThetaMsg>) {
+        self.dirty = false;
+        let chosen = nearest_per_sector_at(&self.sectors, self.pos, self.heard.iter().copied());
+        send_diff(
+            ctx,
+            &self.chosen,
+            &chosen,
+            [ThetaMsg::Neighborhood, ThetaMsg::Retract],
         );
-        self.offers = offers;
-        let mut old = self.admitted.clone();
-        let mut new = new_admitted.clone();
-        old.sort_unstable();
-        new.sort_unstable();
-        if old == new {
-            self.admitted = new_admitted;
-            return;
+        self.chosen = chosen;
+        let offered = self
+            .offers
+            .iter()
+            .filter(|&&(_, b)| b > 0)
+            .filter_map(|&(v, _)| self.heard.iter().find(|&&(u, _)| u == v).copied());
+        let admitted = nearest_per_sector_at(&self.sectors, self.pos, offered);
+        if send_diff(
+            ctx,
+            &self.admitted,
+            &admitted,
+            [ThetaMsg::Connection, ThetaMsg::Disconnect],
+        ) {
+            self.settled_at = ctx.now();
         }
-        self.unacked_conn.retain(|v| new_admitted.contains(v));
-        for &v in &new_admitted {
-            if !self.admitted.contains(&v) {
-                ctx.send(v, ThetaMsg::Connection);
-                if !self.unacked_conn.contains(&v) {
-                    self.unacked_conn.push(v);
-                }
-            }
-        }
-        self.admitted = new_admitted;
-        self.settled_at = ctx.now();
-        self.conn_deadline = self.conn_deadline.max(ctx.now() + self.timing.round_len);
-        if !self.unacked_conn.is_empty() || !self.unacked_retract.is_empty() {
-            ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
+        self.admitted = admitted;
+    }
+
+    /// Broadcast a beacon now and keep beaconing until `round_len` from now.
+    fn burst(&mut self, ctx: &mut Ctx<ThetaMsg>) {
+        self.beacon_until = ctx.now() + self.timing.round_len;
+        ctx.broadcast(ThetaMsg::Position { pos: self.pos });
+        if !self.beaconing {
+            self.beaconing = true;
+            ctx.set_timer(self.timing.resend_every, TIMER_BEACON);
         }
     }
+}
+
+/// Send `msgs[0]` to the members `new` gained over `old` and `msgs[1]` to
+/// those it lost; true iff the sets differ.
+fn send_diff(ctx: &mut Ctx<ThetaMsg>, old: &[u32], new: &[u32], msgs: [ThetaMsg; 2]) -> bool {
+    let [on, off] = msgs;
+    let mut changed = false;
+    for &v in old.iter().filter(|v| !new.contains(v)) {
+        ctx.send(v, off.clone());
+        changed = true;
+    }
+    for &v in new.iter().filter(|v| !old.contains(v)) {
+        ctx.send(v, on.clone());
+        changed = true;
+    }
+    changed
+}
+
+/// Add `delta` to `from`'s balance in `tally`; true iff that flips whether
+/// the balance is positive.
+fn bump(tally: &mut Vec<(u32, i32)>, from: u32, delta: i32) -> bool {
+    let i = tally.iter().position(|&(v, _)| v == from);
+    let before = i.map_or(0, |i| tally.swap_remove(i).1);
+    let after = before + delta;
+    if after != 0 {
+        tally.push((from, after));
+    }
+    (before > 0) != (after > 0)
 }
 
 /// Nearest candidate per sector as seen from `origin` — the selection
@@ -312,179 +286,154 @@ impl Actor for ThetaNode {
     type Msg = ThetaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<ThetaMsg>) {
-        let l = self.timing.round_len;
-        ctx.broadcast(ThetaMsg::Position { pos: self.pos });
-        ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
-        ctx.set_timer(l, self.tid(TIMER_ROUND2));
-        ctx.set_timer(2 * l, self.tid(TIMER_ROUND3));
+        self.burst(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<ThetaMsg>, from: u32, msg: ThetaMsg) {
-        match msg {
-            ThetaMsg::Position { pos } => {
-                // Upsert: a re-beaconing drifter overwrites its old
-                // coordinates (no-op for a repeated static beacon).
-                if let Some(entry) = self.heard.iter_mut().find(|(u, _)| *u == from) {
+        // Only a peer this node hears can be in `heard`, so a repeated
+        // beacon costs one lookup; a drifter's new coordinates overwrite
+        // its old ones.
+        if let ThetaMsg::Position { pos } = msg {
+            if let Some(entry) = self.heard.iter_mut().find(|(u, _)| *u == from) {
+                if entry.1 != pos {
                     entry.1 = pos;
-                } else {
-                    self.heard.push((from, pos));
+                    self.touch(ctx);
                 }
+                return;
             }
-            ThetaMsg::Neighborhood => {
-                // Always ack — the previous ack may have been lost.
-                ctx.send(from, ThetaMsg::NbrAck);
-                if !self.offers.contains(&from) {
-                    self.offers.push(from);
-                    // An offer landing after this node settled (the
-                    // sender re-converged in a later epoch): re-admit
-                    // instead of restarting.
-                    if self.phase == Phase::Connections {
-                        self.readmit(ctx);
-                    }
-                }
+        }
+        if !self.hears(from, ctx.now()) {
+            return;
+        }
+        let on = matches!(msg, ThetaMsg::Neighborhood | ThetaMsg::Connection);
+        let delta = if on { 1 } else { -1 };
+        let changed = match msg {
+            ThetaMsg::Position { pos } => {
+                self.heard.push((from, pos));
+                true
             }
-            ThetaMsg::NbrAck => self.unacked_nbr.retain(|&v| v != from),
-            ThetaMsg::Connection => {
-                ctx.send(from, ThetaMsg::ConnAck);
-                if !self.conn_received.contains(&from) {
-                    self.conn_received.push(from);
-                }
+            ThetaMsg::Neighborhood | ThetaMsg::Retract => bump(&mut self.offers, from, delta),
+            // Connections only tell this node what the far end admitted.
+            ThetaMsg::Connection | ThetaMsg::Disconnect => {
+                bump(&mut self.conns, from, delta);
+                false
             }
-            ThetaMsg::ConnAck => self.unacked_conn.retain(|&v| v != from),
-            ThetaMsg::Retract => {
-                ctx.send(from, ThetaMsg::RetractAck);
-                let before = self.offers.len();
-                self.offers.retain(|&v| v != from);
-                if self.offers.len() != before && self.phase == Phase::Connections {
-                    self.readmit(ctx);
-                }
-            }
-            ThetaMsg::RetractAck => self.unacked_retract.retain(|&v| v != from),
+        };
+        if changed {
+            self.touch(ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<ThetaMsg>, timer: u32) {
-        let l = self.timing.round_len;
-        // A timer armed before a neighborhood change belongs to a dead
-        // epoch: ignore it.
-        if timer / 4 != self.epoch {
-            return;
-        }
-        match timer % 4 {
-            TIMER_ROUND2 => {
-                self.phase = Phase::Offers;
-                let new_chosen = self.nearest_per_sector(self.heard.iter().copied());
-                // Offers from a previous epoch that the re-run no longer
-                // makes are withdrawn so settled receivers re-admit.
-                let retracts: Vec<u32> = self
-                    .chosen
-                    .iter()
-                    .copied()
-                    .filter(|v| !new_chosen.contains(v))
-                    .collect();
-                for &v in &retracts {
-                    ctx.send(v, ThetaMsg::Retract);
-                }
-                self.unacked_retract = retracts;
-                self.chosen = new_chosen;
-                for &v in &self.chosen {
-                    ctx.send(v, ThetaMsg::Neighborhood);
-                }
-                self.unacked_nbr = self.chosen.clone();
-                if !self.unacked_nbr.is_empty() || !self.unacked_retract.is_empty() {
-                    ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
-                }
-            }
-            TIMER_ROUND3 => {
-                self.phase = Phase::Connections;
-                // Admit the nearest offer per sector. An offer whose
-                // Position beacon never arrived cannot be placed in a
-                // sector; it is skipped (the lossless protocol can't hit
-                // this: an offer implies the sender heard us, and we
-                // retransmitted our beacon all round).
-                let offers = std::mem::take(&mut self.offers);
-                self.admitted = self.nearest_per_sector(
-                    offers
-                        .iter()
-                        .filter_map(|&v| self.heard_pos(v).map(|p| (v, p))),
-                );
-                self.offers = offers;
-                for &v in &self.admitted {
-                    ctx.send(v, ThetaMsg::Connection);
-                }
-                self.unacked_conn = self.admitted.clone();
-                self.settled_at = ctx.now();
-                self.conn_deadline = self.round_base + 3 * l;
-                if !self.unacked_conn.is_empty() || !self.unacked_retract.is_empty() {
-                    ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
-                }
-            }
-            TIMER_RESEND => match self.phase {
-                Phase::Positions => {
+        match timer {
+            TIMER_SYNC => self.sync(ctx),
+            TIMER_BEACON => {
+                let now = ctx.now();
+                if now < self.beacon_until {
                     ctx.broadcast(ThetaMsg::Position { pos: self.pos });
-                    self.rearm(ctx, self.round_base + l);
                 }
-                Phase::Offers => {
-                    for &v in &self.unacked_nbr {
-                        ctx.send(v, ThetaMsg::Neighborhood);
-                    }
-                    for &v in &self.unacked_retract {
-                        ctx.send(v, ThetaMsg::Retract);
-                    }
-                    if !self.unacked_nbr.is_empty() || !self.unacked_retract.is_empty() {
-                        self.rearm(ctx, self.round_base + 2 * l);
-                    }
+                if now + self.timing.resend_every < self.beacon_until {
+                    ctx.set_timer(self.timing.resend_every, TIMER_BEACON);
+                } else {
+                    self.beaconing = false;
                 }
-                Phase::Connections => {
-                    for &v in &self.unacked_conn {
-                        ctx.send(v, ThetaMsg::Connection);
-                    }
-                    for &v in &self.unacked_retract {
-                        ctx.send(v, ThetaMsg::Retract);
-                    }
-                    if !self.unacked_conn.is_empty() || !self.unacked_retract.is_empty() {
-                        self.rearm(ctx, self.conn_deadline);
-                    }
-                }
-            },
+            }
             _ => unreachable!("unknown timer {timer}"),
         }
     }
 
     fn on_neighborhood_change(&mut self, ctx: &mut Ctx<ThetaMsg>, neighbors: &[u32], pos: Point) {
+        let now = ctx.now();
+        self.left.retain(|&(_, until)| now < until);
+        for &v in &self.row {
+            if neighbors.binary_search(&v).is_err() {
+                self.left.push((v, now + self.timing.round_len / 2));
+            }
+        }
+        self.row = neighbors.to_vec();
         self.pos = pos;
-        self.epoch += 1;
-        self.round_base = ctx.now();
-        // Keep what is still valid: surviving neighbors' positions and
-        // offers carry over (a drifter's position is refreshed by its
-        // round-1 beacon upsert); everything else re-derives.
-        self.heard
-            .retain(|&(v, _)| neighbors.binary_search(&v).is_ok());
-        self.chosen.retain(|&v| neighbors.binary_search(&v).is_ok());
-        self.offers.retain(|&v| neighbors.binary_search(&v).is_ok());
-        self.admitted
-            .retain(|&v| neighbors.binary_search(&v).is_ok());
-        self.conn_received
-            .retain(|&v| neighbors.binary_search(&v).is_ok());
-        self.unacked_nbr.clear();
-        self.unacked_conn.clear();
-        self.unacked_retract.clear();
-        self.phase = Phase::Positions;
-        if neighbors.is_empty() {
-            // Isolated or departed: nothing to build, nothing to arm —
-            // the retains above already emptied all protocol state.
-            self.settled_at = ctx.now();
+        // Peers outside the new row cannot be told anything; forget them.
+        let row = &self.row;
+        let kept = |v: &u32| row.binary_search(v).is_ok();
+        self.heard.retain(|(v, _)| kept(v));
+        self.offers.retain(|(v, _)| kept(v));
+        self.conns.retain(|(v, _)| kept(v));
+        self.chosen.retain(kept);
+        let before = self.admitted.len();
+        self.admitted.retain(kept);
+        if self.admitted.len() != before {
+            self.settled_at = now;
+        }
+        if self.row.is_empty() {
+            // Isolated or departed: stop beaconing, nothing to recompute.
+            self.beacon_until = now;
             return;
         }
-        let l = self.timing.round_len;
-        ctx.broadcast(ThetaMsg::Position { pos: self.pos });
-        ctx.set_timer(self.timing.resend_every, self.tid(TIMER_RESEND));
-        ctx.set_timer(l, self.tid(TIMER_ROUND2));
-        ctx.set_timer(2 * l, self.tid(TIMER_ROUND3));
+        self.burst(ctx);
+        self.touch(ctx);
     }
 }
 
-/// Result of one hardened-protocol execution.
+/// A [`ThetaNode`] under the reliable sublayer, which carries its diffs.
+type Node = ReliableActor<ThetaNode, fn(&ThetaMsg) -> bool>;
+
+/// Validate the parameters and run the protocol on `points` under `plan`
+/// to quiescence on `threads` workers. Returns the runtime, its counters
+/// with the transport's folded in, the quiescence time, and the admitted
+/// edges between live nodes weighted by distance at the final positions.
+/// Empty input runs an empty runtime.
+#[allow(clippy::too_many_arguments)]
+fn execute(
+    points: &[Point],
+    sectors: SectorPartition,
+    range: f64,
+    timing: ThetaTiming,
+    faults: FaultConfig,
+    seed: u64,
+    plan: &ChurnPlan,
+    threads: usize,
+) -> (Runtime<Node>, NetStats, u64, SpatialGraph) {
+    timing.validate(&faults);
+    assert!(range.is_finite() && range > 0.0, "range must be positive");
+    // Every unicast is a diff; beacons are broadcasts, which always stay
+    // best-effort.
+    let all = (|_: &ThetaMsg| true) as fn(&ThetaMsg) -> bool;
+    let nodes: Vec<Node> = (0..points.len() as u32)
+        .map(|i| ThetaNode::new(i, points[i as usize], sectors, timing))
+        .map(|node| ReliableActor::new(node, ReliableConfig::default(), all))
+        .collect();
+    let mut rt = Runtime::new(nodes, points, range, faults, seed);
+    if !plan.is_empty() {
+        rt.set_churn_plan(plan);
+    }
+    for u in 0..points.len() {
+        let row = rt.radio_neighbors(u as u32).to_vec();
+        rt.nodes_mut()[u].inner_mut().row = row;
+    }
+    let mut finished_at = 0;
+    if !points.is_empty() {
+        rt.start();
+        finished_at = rt.run_sharded(threads);
+    }
+    let mut stats = rt.stats().clone();
+    let positions = rt.positions();
+    let live = |v: u32| rt.member_state(v) == MemberState::Alive;
+    let mut builder = GraphBuilder::new(points.len());
+    for node in rt.nodes() {
+        let c = node.counters();
+        stats.retransmits += c.retransmits;
+        stats.acks += c.acks_sent;
+        stats.rto_fired += c.rto_fired;
+        let (u, admitted) = (node.inner().id, &node.inner().admitted);
+        for &v in admitted.iter().filter(|&&v| live(u) && live(v)) {
+            builder.add_edge(u, v, positions[u as usize].dist(positions[v as usize]));
+        }
+    }
+    let graph = SpatialGraph::new(positions.to_vec(), builder.build(), range);
+    (rt, stats, finished_at, graph)
+}
+
+/// Result of one protocol execution.
 #[derive(Debug, Clone)]
 pub struct ThetaRun {
     /// The reconstructed topology `𝒩` (union of admitted offers, exactly
@@ -496,17 +445,17 @@ pub struct ThetaRun {
     pub digest: u64,
     /// Virtual time at quiescence.
     pub finished_at: u64,
-    /// Fraction of admitted edges whose `Connection` message reached the
-    /// other endpoint (1.0 on lossless links): how completely the nodes
+    /// Fraction of admitted edges whose `Connection` the other endpoint
+    /// counts present (1.0 on lossless links): how completely the nodes
     /// *know* the topology they built.
     pub edge_awareness: f64,
 }
 
-/// Execute the hardened ΘALG protocol over faulty links.
+/// Execute the ΘALG protocol over faulty links.
 ///
 /// `sectors`/`range` are the ΘALG parameters (use
 /// `adhoc_core::ThetaAlg::sectors` for a `θ`-derived partition);
-/// `timing` sizes the round windows against the fault model.
+/// `timing` sizes the beacon bursts against the fault model.
 pub fn run_theta_protocol(
     points: &[Point],
     sectors: SectorPartition,
@@ -539,52 +488,30 @@ pub fn run_theta_protocol_sharded(
     seed: u64,
     threads: usize,
 ) -> ThetaRun {
-    timing.validate(&faults);
-    assert!(range.is_finite() && range > 0.0, "range must be positive");
-    if points.is_empty() {
-        return ThetaRun {
-            graph: SpatialGraph::new(Vec::new(), GraphBuilder::new(0).build(), range),
-            stats: NetStats::default(),
-            digest: crate::stats::Transcript::new(false).digest(),
-            finished_at: 0,
-            edge_awareness: 1.0,
-        };
-    }
-    let nodes: Vec<ThetaNode> = points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| ThetaNode::new(i as u32, p, sectors, timing))
-        .collect();
-    let mut rt = Runtime::new(nodes, points, range, faults, seed);
-    rt.start();
-    let finished_at = rt.run_sharded(threads);
-
-    let mut builder = GraphBuilder::new(points.len());
-    let mut admitted_total = 0u64;
-    let mut aware = 0u64;
-    for node in rt.nodes() {
-        for &v in node.admitted() {
-            builder.add_edge(node.id, v, node.pos.dist(points[v as usize]));
-            admitted_total += 1;
-            if rt.node(v).connections_received().contains(&node.id) {
+    let plan = ChurnPlan::new();
+    let (rt, stats, finished_at, graph) =
+        execute(points, sectors, range, timing, faults, seed, &plan, threads);
+    let mut admitted = 0;
+    let mut aware = 0;
+    for node in rt.nodes().iter().map(Node::inner) {
+        for &v in &node.admitted {
+            admitted += 1;
+            let conns = &rt.node(v).inner().conns;
+            if conns.iter().any(|&(w, b)| w == node.id && b > 0) {
                 aware += 1;
             }
         }
     }
     ThetaRun {
-        graph: SpatialGraph::new(points.to_vec(), builder.build(), range),
-        stats: rt.stats().clone(),
+        graph,
+        stats,
         digest: rt.transcript().digest(),
         finished_at,
-        edge_awareness: if admitted_total == 0 {
-            1.0
-        } else {
-            aware as f64 / admitted_total as f64
-        },
+        edge_awareness: share(aware, admitted),
     }
 }
 
-/// Result of one churn/mobility execution of the hardened protocol
+/// Result of one churn/mobility execution of the protocol
 /// ([`run_theta_churn`]).
 #[derive(Debug, Clone)]
 pub struct ThetaChurnRun {
@@ -604,14 +531,14 @@ pub struct ThetaChurnRun {
     /// 1.0 means every survivor fully repaired its cone neighborhood.
     pub fidelity: f64,
     /// Topology-repair latency: ticks from the last perturbation to the
-    /// moment the slowest live node last settled its admitted set. (With
-    /// an empty plan this is the initial convergence time, `2·round_len`.)
+    /// moment the slowest live node last changed its admitted set. (With
+    /// an empty plan this is the initial convergence time.)
     pub repair_latency: u64,
 }
 
-/// Execute the hardened ΘALG protocol under a [`ChurnPlan`]: nodes join,
-/// leave, crash, and drift mid-run; survivors re-converge locally (see
-/// the module docs). The result is scored against the direct offline
+/// Execute the ΘALG protocol under a [`ChurnPlan`]: nodes join, leave,
+/// crash, and drift mid-run; survivors re-converge locally (see the
+/// module docs). The result is scored against the direct offline
 /// construction on the final live positions and is bit-identical across
 /// executors (`threads <= 1` runs sequentially).
 #[allow(clippy::too_many_arguments)]
@@ -625,103 +552,67 @@ pub fn run_theta_churn(
     plan: &ChurnPlan,
     threads: usize,
 ) -> ThetaChurnRun {
-    timing.validate(&faults);
-    assert!(range.is_finite() && range > 0.0, "range must be positive");
-    if points.is_empty() {
-        return ThetaChurnRun {
-            graph: SpatialGraph::new(Vec::new(), GraphBuilder::new(0).build(), range),
-            stats: NetStats::default(),
-            digest: crate::stats::Transcript::new(false).digest(),
-            finished_at: 0,
-            live: Vec::new(),
-            fidelity: 1.0,
-            repair_latency: 0,
-        };
-    }
-    let nodes: Vec<ThetaNode> = points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| ThetaNode::new(i as u32, p, sectors, timing))
-        .collect();
-    let mut rt = Runtime::new(nodes, points, range, faults, seed);
-    rt.set_churn_plan(plan);
-    rt.start();
-    let finished_at = rt.run_sharded(threads);
-
+    let (rt, stats, finished_at, graph) =
+        execute(points, sectors, range, timing, faults, seed, plan, threads);
     let n = points.len();
     let live: Vec<u32> = (0..n as u32)
         .filter(|&u| rt.member_state(u) == MemberState::Alive)
         .collect();
-    let positions = rt.positions().to_vec();
+    let positions = rt.positions();
     // Direct offline ΘALG on the final live topology: every live node
     // chooses the nearest live radio neighbor per sector, offers
     // transpose, and each node admits the nearest offer per sector.
+    let nearest = |u: u32, candidates: &[u32]| {
+        let at = |v: u32| (v, positions[v as usize]);
+        let origin = positions[u as usize];
+        let mut set = nearest_per_sector_at(&sectors, origin, candidates.iter().map(|&v| at(v)));
+        set.sort_unstable();
+        set
+    };
     let mut offers_off: Vec<Vec<u32>> = vec![Vec::new(); n];
     for &u in &live {
-        let chosen = nearest_per_sector_at(
-            &sectors,
-            positions[u as usize],
-            rt.radio_neighbors(u)
-                .iter()
-                .map(|&v| (v, positions[v as usize])),
-        );
-        for &v in &chosen {
+        for v in nearest(u, rt.radio_neighbors(u)) {
             offers_off[v as usize].push(u);
         }
     }
-    let mut matching = 0usize;
-    let mut settled = 0u64;
-    let mut builder = GraphBuilder::new(n);
-    for &u in &live {
-        let mut want = nearest_per_sector_at(
-            &sectors,
-            positions[u as usize],
-            offers_off[u as usize]
-                .iter()
-                .map(|&v| (v, positions[v as usize])),
-        );
-        let node = rt.node(u);
-        let mut got: Vec<u32> = node.admitted().to_vec();
-        got.sort_unstable();
-        want.sort_unstable();
-        if got == want {
-            matching += 1;
-        }
-        for &v in node.admitted() {
-            if rt.member_state(v) == MemberState::Alive {
-                builder.add_edge(u, v, positions[u as usize].dist(positions[v as usize]));
-            }
-        }
-        settled = settled.max(node.settled_at());
-    }
+    let nodes = || live.iter().map(|&u| (u, rt.node(u).inner()));
+    let matching = nodes()
+        .filter(|&(u, node)| {
+            let mut got = node.admitted.clone();
+            got.sort_unstable();
+            got == nearest(u, &offers_off[u as usize])
+        })
+        .count();
+    let settled = nodes().map(|(_, node)| node.settled_at).max().unwrap_or(0);
     ThetaChurnRun {
-        graph: SpatialGraph::new(positions, builder.build(), range),
-        stats: rt.stats().clone(),
         digest: rt.transcript().digest(),
-        finished_at,
-        fidelity: if live.is_empty() {
-            1.0
-        } else {
-            matching as f64 / live.len() as f64
-        },
+        fidelity: share(matching, live.len()),
         repair_latency: settled.saturating_sub(rt.last_churn_time()),
         live,
+        graph,
+        stats,
+        finished_at,
     }
 }
 
 /// Fraction of `reference`'s edges present in `candidate` (1.0 when every
 /// reference edge was reconstructed; 1.0 for an empty reference).
 pub fn edge_fidelity(reference: &SpatialGraph, candidate: &SpatialGraph) -> f64 {
-    let total = reference.graph.num_edges();
-    if total == 0 {
-        return 1.0;
-    }
     let present = reference
         .graph
         .edges()
         .filter(|&(u, v, _)| candidate.graph.has_edge(u, v))
         .count();
-    present as f64 / total as f64
+    share(present, reference.graph.num_edges())
+}
+
+/// `part / total`, or 1.0 when there is nothing to count.
+fn share(part: usize, total: usize) -> f64 {
+    if total == 0 {
+        1.0
+    } else {
+        part as f64 / total as f64
+    }
 }
 
 #[cfg(test)]
@@ -777,7 +668,7 @@ mod tests {
             );
             assert_eq!(
                 direct.spatial.graph, run.graph.graph,
-                "loss {loss}: retransmit budget should absorb it"
+                "loss {loss}: beacon bursts and retries should absorb it"
             );
             assert!(run.stats.dropped > 0, "loss {loss} dropped nothing?");
         }
@@ -829,8 +720,9 @@ mod tests {
 
     #[test]
     fn starved_retransmit_budget_degrades_not_panics() {
-        // One transmission per message and 60% loss: the graph will be
-        // incomplete, but the run must finish and fidelity is measurable.
+        // Two beacons per burst and 60% loss: many neighbors are never
+        // heard, so the graph will be incomplete, but the run must finish
+        // and fidelity is measurable.
         let points = uniform(50, 8);
         let range = 0.4;
         let alg = ThetaAlg::new(FRAC_PI_3, range);
@@ -910,7 +802,7 @@ mod tests {
 
     #[test]
     fn lossy_churn_still_reconverges_exactly() {
-        // Retransmission budgets absorb moderate loss during repair just
+        // Beacon bursts and retries absorb moderate loss during repair just
         // as they do during initial construction.
         let points = uniform(50, 12);
         let range = 0.45;
@@ -930,6 +822,63 @@ mod tests {
         );
         assert_eq!(run.fidelity, 1.0, "10% loss must be absorbed by retries");
         assert!(run.stats.dropped > 0);
+    }
+
+    #[test]
+    fn stale_beacon_of_a_departed_node_does_not_reenter_its_neighbors() {
+        // Node 34 leaves at t = 336 with its own beacons still in flight.
+        // Its neighbors must not take it back into `heard` (and offer to
+        // it) when those copies land after they pruned it.
+        let points = uniform(60, 2010);
+        let range = adhoc_geom::default_max_range(60);
+        let alg = ThetaAlg::new(FRAC_PI_3, range);
+        let plan = ChurnPlan::random(54, 6, 1.0, 400, 6, 2100);
+        assert!(plan.entries().iter().any(|e| e.node == 34));
+        for threads in [1, 2] {
+            let run = run_theta_churn(
+                &points,
+                alg.sectors(),
+                range,
+                ThetaTiming::default(),
+                FaultConfig::ideal(),
+                2,
+                &plan,
+                threads,
+            );
+            assert_eq!(run.fidelity, 1.0, "threads={threads}");
+            assert!(!run.live.contains(&34));
+        }
+    }
+
+    #[test]
+    fn returning_peer_is_quiet_until_its_old_copies_landed() {
+        // Node 0 drifts out of everyone's range at t = 5, while its first
+        // offers are in the air, and back two ticks later. Copies sent
+        // before the break land after the return; none may count.
+        let points = uniform(24, 0);
+        let sectors = SectorPartition::with_max_angle(FRAC_PI_3);
+        let faults = FaultConfig {
+            drop_prob: 0.15,
+            duplicate_prob: 0.1,
+            delay: DelayDist::Uniform { min: 1, max: 6 },
+        };
+        let plan = ChurnPlan::new()
+            .drift(5, 0, Point::new(5.0, 5.0))
+            .drift(7, 0, points[0]);
+        for threads in [1, 2] {
+            let run = run_theta_churn(
+                &points,
+                sectors,
+                0.4,
+                ThetaTiming::default(),
+                faults,
+                0,
+                &plan,
+                threads,
+            );
+            assert_eq!(run.fidelity, 1.0, "threads={threads}");
+            assert_eq!(run.stats.drifts, 2);
+        }
     }
 
     #[test]

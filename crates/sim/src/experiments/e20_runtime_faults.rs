@@ -1,7 +1,7 @@
 //! **E20 — locality under faults**: the paper's locality claims, replayed
 //! over *unreliable* radios via the `adhoc-runtime` message-passing
-//! runtime. Sweep the link loss rate and measure (a) whether the hardened
-//! 3-round ΘALG protocol still reconstructs the exact `𝒩` of the direct
+//! runtime. Sweep the link loss rate and measure (a) whether the
+//! diff-driven ΘALG protocol still reconstructs the exact `𝒩` of the direct
 //! construction, and (b) the routed throughput of distributed
 //! `(T,γ)`-balancing with height gossip over the reconstructed topology —
 //! fire-and-forget links versus the per-link reliable-delivery sublayer
@@ -38,6 +38,10 @@ struct LossPoint {
     theta_digest: u64,
     fidelity: f64,
     exact: bool,
+    /// ΘALG messages sent per node (acks included).
+    theta_msgs_per_node: f64,
+    /// Virtual time the ΘALG run went quiescent.
+    theta_finished: u64,
     fire_and_forget: GossipRun,
     reliable: GossipRun,
 }
@@ -91,6 +95,8 @@ fn sweep(quick: bool) -> Vec<LossPoint> {
                 theta_digest: theta.digest,
                 fidelity: edge_fidelity(&direct.spatial, &theta.graph),
                 exact: direct.spatial.graph == theta.graph.graph,
+                theta_msgs_per_node: theta.stats.sent as f64 / n as f64,
+                theta_finished: theta.finished_at,
                 fire_and_forget: gossip(cfg),
                 reliable: gossip(cfg.with_reliability(ReliableConfig::default())),
             }
@@ -114,6 +120,8 @@ pub fn run(quick: bool) -> Table {
             "retransmits",
             "acks",
             "conserved",
+            "θ msgs/node",
+            "θ finished",
         ],
     );
     for point in sweep(quick) {
@@ -132,6 +140,8 @@ pub fn run(quick: bool) -> Table {
                 g.stats.retransmits.to_string(),
                 g.stats.acks.to_string(),
                 g.conserved().to_string(),
+                format!("{:.1}", point.theta_msgs_per_node),
+                point.theta_finished.to_string(),
             ]);
         }
     }
@@ -146,6 +156,10 @@ pub fn golden_digests() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for point in sweep(true) {
         let pct = (point.loss * 100.0).round() as u32;
+        assert!(
+            point.exact,
+            "ΘALG at {pct}% loss differs from the direct build"
+        );
         out.push((format!("e20/theta/loss{pct:02}"), point.theta_digest));
         out.push((
             format!("e20/gossip-ff/loss{pct:02}"),

@@ -3,10 +3,12 @@
 //!
 //! Builds an ad hoc network on lossy radios, schedules a seeded churn
 //! plan (joins, graceful leaves, crashes, waypoint drift), and runs the
-//! hardened ΘALG actor protocol through it: every perturbation triggers
+//! diff-driven ΘALG actor protocol through it: every perturbation triggers
 //! local re-convergence in the one-hop neighborhoods that can see it.
 //! The result is scored against the direct offline construction on the
-//! final live positions, and the same plan is then replayed under
+//! final live positions (asserted exact: fidelity 1.0, which holds while
+//! the beacon bursts outlast the loss rate), and the same plan is then
+//! replayed under
 //! reliable `(T,γ)`-balancing to show the packet-conservation ledger
 //! surviving dead buffers and abandoned custody. Everything is
 //! bit-for-bit replayable: the sequential and sharded executors produce
@@ -103,6 +105,10 @@ fn main() {
         "sequential and sharded churn replays diverged"
     );
     println!("digest parity vs {other_threads}-thread executor: ok\n");
+    assert_eq!(
+        run.fidelity, 1.0,
+        "every live node must repair to the offline construction"
+    );
 
     // -- Routing through the same churn ----------------------------------
     let direct = alg.build(&points);

@@ -1,7 +1,7 @@
 //! Faulty-network demo — topology control and routing over lossy radios.
 //!
 //! Builds an ad hoc network whose links drop 10% of all transmissions,
-//! runs the hardened 3-round ΘALG actor protocol (retransmit + ack) to
+//! runs the diff-driven ΘALG actor protocol (reliable diffs) to
 //! construct `𝒩`, verifies the result against the direct construction,
 //! then routes a uniform workload over the reconstructed topology with
 //! distributed `(T,γ)`-balancing and gossiped buffer heights — first

@@ -5,6 +5,7 @@
 //! budget).
 
 use adhoc_net::prelude::*;
+use adhoc_net::runtime::ChurnKind;
 use proptest::prelude::*;
 
 fn dedup_points(raw: &[(f64, f64)]) -> Vec<Point> {
@@ -112,16 +113,23 @@ proptest! {
     }
 
     /// Churn is part of the determinism contract: for a random churn
-    /// plan (joins, leaves, crashes, drift), random geometry, and random
-    /// fault mix, the sequential executor and the sharded executor at 2
-    /// and 4 threads produce bit-identical digests, stats, protocol
-    /// outcomes, and conservation ledgers — for both ported protocols.
+    /// plan (joins, leaves, crashes, drift, perturbations closer together
+    /// than one repair), random geometry, and random fault mix, the
+    /// sequential executor and the sharded executor at 2 and 4 threads
+    /// produce bit-identical digests, stats, protocol outcomes, and
+    /// conservation ledgers — for both ported protocols — and ΘALG
+    /// re-converges exactly. Every plan also sends one surviving node far
+    /// away during the initial construction and back `gap` ticks later:
+    /// each of its links vanishes and returns, possibly while copies sent
+    /// before the break are still in the air.
     #[test]
     fn churn_execution_is_digest_identical(
         raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 10..30),
         drop_prob in 0.0f64..0.3,
         duplicate_prob in 0.0f64..0.2,
         events in 1usize..8,
+        away_at in 1u64..16,
+        gap in 1u64..7,
         seed in 0u64..1_000_000
     ) {
         let points = dedup_points(&raw);
@@ -135,10 +143,22 @@ proptest! {
         };
         let spares = n / 5;
         let plan = ChurnPlan::random(n - spares, spares, 1.0, 600, events, seed ^ 0xabcd);
+        let departs = |v: &u32| {
+            plan.entries().iter().any(|e| {
+                e.node == *v && matches!(e.kind, ChurnKind::Leave | ChurnKind::Crash)
+            })
+        };
+        let roamer = (0..(n - spares) as u32)
+            .find(|v| !departs(v))
+            .expect("the random plan keeps at least two nodes up");
+        let plan = plan
+            .drift(away_at, roamer, Point::new(5.0, 5.0))
+            .drift(away_at + gap, roamer, points[roamer as usize]);
 
         let seq = run_theta_churn(
             &points, sectors, range, ThetaTiming::default(), faults, seed, &plan, 1,
         );
+        prop_assert_eq!(seq.fidelity, 1.0, "ΘALG did not re-converge exactly: {:?}", seq.stats);
         for threads in [2usize, 4] {
             let par = run_theta_churn(
                 &points, sectors, range, ThetaTiming::default(), faults, seed, &plan, threads,
